@@ -115,13 +115,6 @@ def from_fractions(coeffs: Sequence[Fraction]) -> IntPoly:
     return strip([int(x * den) for x in c])
 
 
-def eval_frac(f: IntPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def eval_int_sign(f: IntPoly, num: int, den: int) -> int:
     """Sign of f(num/den) with den > 0, computed in integers.
 

@@ -250,64 +250,3 @@ def squarefree_part(f: BinForm) -> BinForm:
     sa = ip.squarefree_part(f.affine_int())
     m = 1 if f.v_order_at_infinity() >= 1 else 0
     return BinForm.from_affine(ip.degree(sa) + m, sa)
-
-
-def gcd_with_derivative_and_squarefree(f: BinForm) -> Tuple[BinForm, BinForm]:
-    """Split f into (repeated part, squarefree part), up to a scalar.
-
-    The repeated part is f divided by its squarefree part; the product
-    of the two equals f up to a positive rational.
-    """
-    sq = squarefree_part(f)
-    fa = f.affine_int()
-    qa = ip.try_div_exact(fa, sq.affine_int())
-    assert qa is not None, "squarefree part must divide the form"
-    m = f.v_order_at_infinity() - sq.v_order_at_infinity()
-    rep = BinForm.from_affine(ip.degree(qa) + m, qa)
-    return rep, sq
-
-
-def squarefree_decomposition(f: BinForm):
-    """Yield (component, multiplicity) pairs covering every root of f.
-
-    Components are squarefree forms; the point at infinity appears as
-    its own degree-1 component (the form v) when f vanishes there.
-    """
-    if f.is_zero:
-        raise ValueError("zero form")
-    out = []
-    for comp, m in ip.yun_decomposition(f.affine_int()):
-        out.append((BinForm.from_affine(ip.degree(comp), comp), m))
-    vo = f.v_order_at_infinity()
-    if vo >= 1:
-        out.append((BinForm.make(1, [1, 0]), vo))  # the form v
-    return out
-
-
-def divides_exactly(f: BinForm, g: BinForm) -> bool:
-    """True when g divides f as forms (affine part and infinity order)."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero form")
-    if f.is_zero:
-        return True
-    if g.v_order_at_infinity() > f.v_order_at_infinity():
-        return False
-    return ip.try_div_exact(f.affine_int(), g.affine_int()) is not None
-
-
-def factor_multiplicity(f: BinForm, factor: BinForm) -> int:
-    """Largest m with factor^m dividing f; f nonzero, factor non-constant."""
-    if f.is_zero:
-        raise ValueError("zero form")
-    fa = f.affine_int()
-    ka = factor.affine_int()
-    vo_factor = factor.v_order_at_infinity()
-    if ip.degree(ka) == 0:
-        # pure power of v
-        if vo_factor == 0:
-            raise ValueError("constant factor")
-        return f.v_order_at_infinity() // vo_factor
-    m_aff = ip.multiplicity_of_factor(fa, ka)
-    if vo_factor == 0:
-        return m_aff
-    return min(m_aff, f.v_order_at_infinity() // vo_factor)

@@ -3,14 +3,11 @@
 Subcommands: validate, report, transform, fuzz, search, oracle-check.
 Exit codes follow one convention everywhere: 0 success, 1 theorem
 violation (fuzzing or oracle disagreement), 2 invalid input or
-parameters.  All output is deterministic; ELLSURF_THREADS is accepted
-as an upper bound on worker processes and never changes output bytes
-(the current implementation is serial).
+parameters.  All output is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -30,7 +27,7 @@ from .documents import (
 )
 from .fuzz import run_fuzz
 from .oracle import OracleDisagreement, compare
-from .topology import NotRealGeneric, arc_decomposition, betti, check_bounds
+from .topology import NotRealGeneric, betti, check_bounds
 from .transforms import (
     InvalidI0StarParams,
     SearchBudget,
@@ -52,18 +49,9 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("ELLSURF_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 @click.group()
 def main():
     """Exact topology of real elliptic surfaces from Weierstrass data."""
-    _worker_cap()
 
 
 def _load_or_exit(path: str):
@@ -98,18 +86,12 @@ def _full_report_document(t) -> dict:
         "fibers": [fiber_to_document(r) for r in reports],
     }
     try:
-        dec = arc_decomposition(t, reports)
         rep = betti(t, reports)
     except NotRealGeneric as exc:
-        if exc.offenders:
-            doc["real_topology"] = not_real_generic_to_document(exc)
-            return doc
-        # no real singular fiber at all: betti still applies
-        rep = betti(t, reports)
-        doc["topology"] = topology_to_document(rep)
-        doc["bounds"] = bounds_to_document(check_bounds(rep, t.k))
+        doc["real_topology"] = not_real_generic_to_document(exc)
         return doc
-    doc["arcs"] = arcs_to_document(dec)
+    if rep.arcs is not None:
+        doc["arcs"] = arcs_to_document(rep.arcs)
     doc["topology"] = topology_to_document(rep)
     doc["bounds"] = bounds_to_document(check_bounds(rep, t.k))
     return doc
@@ -166,13 +148,12 @@ def _print_text_report(doc: dict) -> None:
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
-@click.option("--text", "as_text", is_flag=True, help="human-readable output (default)")
-def report(file, as_json, as_text):
+@click.option("--json", "as_json", is_flag=True, help="machine-readable output (default: text)")
+def report(file, as_json):
     """Fiber table, arc decomposition, topology and bound verdicts."""
     t = _load_or_exit(file)
     doc = _full_report_document(t)
-    if as_json and not as_text:
+    if as_json:
         click.echo(dump_json(doc), nl=False)
     else:
         _print_text_report(doc)

@@ -12,6 +12,7 @@ files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from .binform import BinForm
 from .roots import AlgebraicPoint, CirclePoint, FinitePoint, InfinityPoint
@@ -34,20 +35,22 @@ class DocumentError(ValueError):
     """Malformed triple document."""
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """Read "n" or "n/d": an optional sign, ASCII digits, a positive denominator."""
     s = str(text).strip()
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise DocumentError(f"not an exact rational: {s!r}")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            d = int(den)
-            if d == 0:
-                raise DocumentError(f"zero denominator in {s!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(s))
-    except DocumentError:
-        raise
-    except (ValueError, TypeError) as exc:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:  # more digits than int() converts
         raise DocumentError(f"not an exact rational: {s!r}") from exc
+    if den == 0:
+        raise DocumentError(f"zero denominator in {s!r}")
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -73,7 +76,7 @@ def triple_from_document(doc: dict) -> WeierstrassTriple:
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
     k = doc["k"]
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DocumentError("k must be a positive integer")
     p_list = doc["p"]
     q_list = doc["q"]

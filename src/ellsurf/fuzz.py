@@ -153,7 +153,7 @@ def run_fuzz(
 
         if oracle_every and index % oracle_every == 0:
             try:
-                compare(t)
+                compare(t, reports)
                 summary.oracle_checked += 1
             except OracleDisagreement as exc:
                 _record_violation(summary, "oracle", str(exc), t)

@@ -1,11 +1,14 @@
 """First-principles computation of (h0, h1, chi) of the real locus.
 
 The base circle is sliced at every real zero of the discriminant (the
-cuts) and at one rational sample inside every arc.  At a sample the
-fiber is a smooth real cubic whose real roots are isolated exactly: one
-root gives a single circle through the section point at infinity (the
-"branch"), three roots give that branch plus a compact oval over the two
-lower roots.  At a nodal cut the fiber either keeps one circle with an
+cuts) and at one rational sample inside every arc.  Where the cuts lie
+and which rational point samples each arc come from the pipeline
+(topology.real_cuts and topology.arc_samples); every verdict below is
+computed here from the fiber cubics.  At a sample the fiber is a smooth
+real cubic whose real roots are isolated exactly: one root gives a
+single circle through the section point at infinity (the "branch"),
+three roots give that branch plus a compact oval over the two lower
+roots.  At a nodal cut the fiber either keeps one circle with an
 extra isolated point (the oval family collapses) or degenerates to a
 wedge of two circles (the oval meets the branch); which one is decided
 from the double root of the degenerate cubic, not from any convention
@@ -38,13 +41,11 @@ from .roots import (
     CirclePoint,
     FinitePoint,
     InfinityPoint,
-    circle_sort_key_refine,
-    points_equal,
-    sample_between,
+    compare_finite,
     sign_at,
 )
-from .topology import NotRealGeneric, betti
-from .weierstrass import WeierstrassTriple, classify_fibers
+from .topology import arc_samples, betti, real_cuts
+from .weierstrass import FiberReport, WeierstrassTriple, classify_fibers
 
 
 class OracleDisagreement(AssertionError):
@@ -159,50 +160,31 @@ _LOOPS = {"oval": 1, "branch": 1, "circle": 1, "cap": 0, "wedge": 2}
 
 
 def oracle_topology(
-    t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
+    t: WeierstrassTriple,
+    extra_samples: Sequence[Fraction] = (),
+    reports: Optional[List[FiberReport]] = None,
 ) -> OracleResult:
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
     extra_samples inserts more rational slice points (they must not be
     zeros of the discriminant); the output must not depend on them.
+    reports, when given, is the fiber classification of t.
     """
-    reports, _ = classify_fibers(t)
-    real = [r for r in reports if r.is_real]
-    offenders = [r for r in real if r.v_delta != 1]
-    if offenders:
-        raise NotRealGeneric(offenders)
-
-    cuts = circle_sort_key_refine([r.location for r in real])
-    cut_slices = [_cut_slice(t, c) for c in cuts]
-
-    sample_pts: List[CirclePoint] = []
-    if cuts:
-        n = len(cuts)
-        for i in range(n):
-            wraps = i == n - 1
-            sample_pts.append(sample_between(cuts[i], cuts[(i + 1) % n], wraps=wraps))
+    if reports is None:
+        reports, _ = classify_fibers(t)
+    cuts = real_cuts(reports)
+    if not cuts:
+        slices = [_sample_slice(t, FinitePoint(Fraction(0))), _sample_slice(t, INFINITY)]
     else:
-        sample_pts = [FinitePoint(Fraction(0)), INFINITY]
+        # circle order: each cut, then the sample of the arc after it
+        slices = []
+        for cut, sample in zip(cuts, arc_samples(cuts)):
+            slices += [_cut_slice(t, cut), _sample_slice(t, sample)]
+        if isinstance(cuts[-1], InfinityPoint):
+            # the arc after infinity is sampled below the first cut
+            slices.insert(0, slices.pop())
     for x in extra_samples:
-        cand = FinitePoint(Fraction(x))
-        if any(points_equal(cand, s) for s in sample_pts):
-            continue
-        if any(points_equal(cand, c) for c in cuts):
-            raise ValueError(f"extra sample {x} is a discriminant zero")
-        sample_pts.append(cand)
-
-    slices_by_point: List[FiberSlice] = cut_slices + [
-        _sample_slice(t, s) for s in sample_pts
-    ]
-    ordered_points = circle_sort_key_refine([s.point for s in slices_by_point])
-    # circle_sort_key_refine may refine algebraic points; re-associate by equality
-    slices: List[Optional[FiberSlice]] = [None] * len(ordered_points)
-    for s in slices_by_point:
-        for i, p in enumerate(ordered_points):
-            if slices[i] is None and points_equal(s.point, p):
-                slices[i] = s
-                break
-    assert all(s is not None for s in slices)
+        _insert_sample(t, slices, Fraction(x))
 
     uf = _UnionFind()
     V = E = F = 0
@@ -231,6 +213,21 @@ def oracle_topology(
     joins = sum(1 for s in slices if s.kind == "cut" and s.pattern == "join")
     assert chi == collapses - joins, "cell count disagrees with nodal patterns"
     return OracleResult(h0, h1, chi, V, E, F, tuple(slices))
+
+
+def _insert_sample(t: WeierstrassTriple, slices: List[FiberSlice], x: Fraction) -> None:
+    """Put a smooth slice at x into the circle-ordered slices, once."""
+    cand = FinitePoint(x)
+    for i, s in enumerate(slices):
+        order = -1 if isinstance(s.point, InfinityPoint) else compare_finite(cand, s.point)
+        if order == 0 and s.kind == "cut":
+            raise ValueError(f"extra sample {x} is a discriminant zero")
+        if order == 0:
+            return
+        if order < 0:
+            slices.insert(i, _sample_slice(t, cand))
+            return
+    slices.append(_sample_slice(t, cand))
 
 
 def _tube_matches(a: FiberSlice, b: FiberSlice) -> List[Tuple[int, int]]:
@@ -262,10 +259,15 @@ class Agreement:
     oracle: OracleResult
 
 
-def compare(t: WeierstrassTriple) -> Agreement:
-    """Assert the arc-formula topology equals the oracle topology exactly."""
-    report = betti(t)
-    result = oracle_topology(t)
+def compare(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> Agreement:
+    """Assert the arc-formula topology equals the oracle topology exactly.
+
+    reports, when given, is the fiber classification of t; both sides use it.
+    """
+    if reports is None:
+        reports, _ = classify_fibers(t)
+    report = betti(t, reports)
+    result = oracle_topology(t, reports=reports)
     mine = (report.h0, report.h1, report.chi_top)
     if mine != result.triple():
         trace = "; ".join(

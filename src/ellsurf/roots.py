@@ -53,12 +53,6 @@ class AlgebraicPoint:
         lo, hi = ip.refine_interval(self.defining.affine_int(), self.lo, self.hi)
         return AlgebraicPoint(self.defining, lo, hi)
 
-    def refined_below_width(self, width: Fraction) -> "AlgebraicPoint":
-        pt = self
-        while pt.hi - pt.lo >= width:
-            pt = pt.refined()
-        return pt
-
     def excluding(self, x: Fraction) -> "AlgebraicPoint":
         """Refine until the rational x lies outside [lo, hi]."""
         pt = self

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .roots import INFINITY, CirclePoint, FinitePoint, sample_between, sign_at
+from .roots import (
+    INFINITY,
+    CirclePoint,
+    FinitePoint,
+    circle_sort_key_refine,
+    sample_between,
+    sign_at,
+)
 from .weierstrass import (
     FiberReport,
     KodairaType,
@@ -138,26 +145,19 @@ def arc_decomposition(t: WeierstrassTriple, reports: Optional[List[FiberReport]]
     """
     if reports is None:
         reports, _ = classify_fibers(t)
-    real = [r for r in reports if r.is_real]
-    offenders = [r for r in real if r.v_delta != 1]
-    if offenders:
-        raise NotRealGeneric(offenders)
-    if not real:
+    points = real_cuts(reports)
+    if not points:
         raise NotRealGeneric([])
-    points = _cyclic_real_points(real)
     types = tuple(_nodal_type_unchecked(t, c) for c in points)
     delta = discriminant(t)
     n = len(points)
     arcs: List[Arc] = []
-    for i in range(n):
-        left = points[i]
-        right = points[(i + 1) % n]
-        wraps = i == n - 1
-        sample = sample_between(left, right, wraps=wraps)
+    for i, sample in enumerate(arc_samples(points)):
+        j = (i + 1) % n
         s = sign_at(delta, sample)
         assert s != 0, "arc sample landed on a discriminant zero"
         count = 2 if s < 0 else 1
-        arcs.append(Arc(left, right, sample, count, types[i], types[(i + 1) % n]))
+        arcs.append(Arc(points[i], points[j], sample, count, types[i], types[j]))
     for i in range(n):
         if arcs[i].component_count == arcs[(i + 1) % n].component_count:
             raise AssertionError(
@@ -186,16 +186,29 @@ def arc_decomposition(t: WeierstrassTriple, reports: Optional[List[FiberReport]]
     )
 
 
-def _cyclic_real_points(real: List[FiberReport]) -> List[CirclePoint]:
-    """Sort real fiber locations along the circle.
+def real_cuts(reports: Sequence[FiberReport]) -> List[CirclePoint]:
+    """The real singular points in circle order; all must be nodal.
 
+    Raises NotRealGeneric when some real singular fiber is not nodal.
     Locations come from classification, so algebraic points belong to
     distinct irreducible factors or distinct roots of one factor; they
     are refined until the cyclic order is unambiguous.
     """
-    from .roots import circle_sort_key_refine
-
+    real = [r for r in reports if r.is_real]
+    offenders = [r for r in real if r.v_delta != 1]
+    if offenders:
+        raise NotRealGeneric(offenders)
     return circle_sort_key_refine([r.location for r in real])
+
+
+def arc_samples(cuts: Sequence[CirclePoint]) -> List[FinitePoint]:
+    """One rational point inside each arc, the i-th after cut i.
+
+    The last arc runs from the last cut through infinity (or from
+    infinity when that is the last cut) back to the first.
+    """
+    n = len(cuts)
+    return [sample_between(cuts[i], cuts[(i + 1) % n], wraps=i == n - 1) for i in range(n)]
 
 
 _SPHERE = "S0"
@@ -237,16 +250,17 @@ class RealTopologyReport:
     chi_top: int
     orientable: bool
     components: Tuple[str, ...]
-    arc_plus: int
-    arc_minus: int
-    n_plus: int
-    n_minus: int
-    no_real_singular_fibers: bool
+    # None exactly when the surface has no real singular fiber
+    arcs: Optional[ArcDecomposition]
     # With no real singular fiber and Delta > 0 the count computed from
     # signs is a single torus/Klein component; flagged because a real
     # section forces two in the standard degeneration picture and the
     # one-component reading deserves scrutiny downstream.
     single_component_caveat: bool = False
+
+    @property
+    def no_real_singular_fibers(self) -> bool:
+        return self.arcs is None
 
     @property
     def h_star(self) -> int:
@@ -276,11 +290,7 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
             chi_top=0,
             orientable=orientable,
             components=tuple([label] * h0),
-            arc_plus=0,
-            arc_minus=0,
-            n_plus=0,
-            n_minus=0,
-            no_real_singular_fibers=True,
+            arcs=None,
             single_component_caveat=(h0 == 1),
         )
     dec = arc_decomposition(t, reports)
@@ -300,11 +310,7 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
         chi_top=chi,
         orientable=orientable,
         components=components,
-        arc_plus=dec.arc_plus,
-        arc_minus=dec.arc_minus,
-        n_plus=dec.n_plus,
-        n_minus=dec.n_minus,
-        no_real_singular_fibers=False,
+        arcs=dec,
     )
 
 

@@ -354,9 +354,14 @@ def _family_g_h(k: int, pairs: int, dips: int, offset: int) -> Tuple[BinForm, Bi
 
     g is negative exactly on the `dips` windows [100k+20d, 100k+20d+10];
     h is negative away from its root pairs (10i+1, 10i+2) and positive
-    strictly between each pair.
+    strictly between each pair.  The positive padding of h vanishes to
+    order at most 5 at u = +-i and puts the rest of its degree on
+    u^2 + 4v^2: where p = -3g^2 vanishes to order >= 4 at +-i, g^3 does
+    to order >= 6, so q = 2g^3 + eps*h has order <= 5 and the data stay
+    minimal.
     """
     pos = BinForm.make(2, [1, 0, 1])  # u^2 + v^2
+    pos4 = BinForm.make(2, [4, 0, 1])  # u^2 + 4v^2
     g = BinForm.make(0, [1])
     for d in range(dips):
         lo = 100 * k + 20 * d + offset
@@ -366,7 +371,8 @@ def _family_g_h(k: int, pairs: int, dips: int, offset: int) -> Tuple[BinForm, Bi
     for i in range(pairs):
         base = 10 * (i + 1) + offset
         h = h * BinForm.from_linear_roots([base + 1, base + 2])
-    h = h * pos ** (3 * k - pairs)
+    pad = 3 * k - pairs
+    h = h * pos ** min(pad, 5) * pos4 ** max(pad - 5, 0)
     return g, h
 
 
@@ -405,7 +411,7 @@ def _verify_candidate(
     if not bounds.all_ok:
         return None
     try:
-        compare(cand)
+        compare(cand, reports)
     except OracleDisagreement:
         return None
     return normalize(cand)

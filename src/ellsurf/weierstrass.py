@@ -397,12 +397,3 @@ def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInv
             "fiber classification is inconsistent"
         )
     return reports, SurfaceInvariants.for_k(t.k)
-
-
-def real_singular_points(reports: List[FiberReport]) -> List[FiberReport]:
-    return [r for r in reports if r.is_real]
-
-
-def is_real_generic(reports: List[FiberReport]) -> bool:
-    """Every real singular fiber nodal (simple real zero of Delta)."""
-    return all(r.v_delta == 1 for r in reports if r.is_real)

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsurf import BinForm, FormDegreeError, form_gcd, squarefree_part
-from ellsurf.binform import (
-    factor_multiplicity,
-    gcd_with_derivative_and_squarefree,
-    squarefree_decomposition,
-)
+from ellsurf import _intpoly as ip
 
 from conftest import U, V, interlace_sextic
 
@@ -77,28 +73,31 @@ def _euclid_gcd_degree(f, g):
 
 class TestGcdSquarefree:
     def test_repeated_linear(self):
-        rep, sq = gcd_with_derivative_and_squarefree((U - V) ** 2)
+        f = (U - V) ** 2
+        sq = squarefree_part(f)
         assert sq.affine_int() == [-1, 1]
-        assert rep.affine_int() == [-1, 1]
+        assert ip.try_div_exact(f.affine_int(), sq.affine_int()) == [-1, 1]
 
     def test_monomial(self):
-        _, sq = gcd_with_derivative_and_squarefree(U ** 6 * V ** 6)
+        sq = squarefree_part(U ** 6 * V ** 6)
         assert sq == BinForm.make(2, [0, 1, 0])  # uv
 
     def test_already_squarefree_by_independent_euclid(self):
         f = interlace_sextic()
         # oracle: gcd(f, f') is a constant, computed by naive Euclid
         assert _euclid_gcd_degree(f, f.u_derivative()) == 0
-        _, sq = gcd_with_derivative_and_squarefree(f)
-        assert sq.affine_int() == f.affine_int()
+        assert squarefree_part(f).affine_int() == f.affine_int()
 
     def test_product_relation(self):
         f = (U - V) ** 3 * (U + 2 * V) * V ** 2
-        rep, sq = gcd_with_derivative_and_squarefree(f)
-        prod = rep * sq
-        # f = rep * sq up to a rational scalar
+        prod = [1]
+        for comp, m in ip.yun_decomposition(f.affine_int()):
+            for _ in range(m):
+                prod = ip.mul(prod, comp)
+        # f(u, 1) = prod g_i^i up to a rational scalar
+        assert len(prod) == len(f.affine())
         ratio = None
-        for a, b in zip(prod.coeffs, f.coeffs):
+        for a, b in zip(prod, f.affine()):
             if b == 0:
                 assert a == 0
                 continue
@@ -112,17 +111,14 @@ class TestGcdSquarefree:
         assert form_gcd(f, g) == V ** 2
 
     def test_squarefree_decomposition(self):
-        f = (U - V) ** 2 * (U + V) * V ** 3
-        comps = dict()
-        for comp, m in squarefree_decomposition(f):
-            comps[m] = comps.get(m, []) + [comp]
-        assert sorted(comps) == [1, 2, 3]
+        f = (U - V) ** 2 * (U + V) * (U - 3 * V) ** 3
+        assert [m for _, m in ip.yun_decomposition(f.affine_int())] == [1, 2, 3]
 
     def test_factor_multiplicity(self):
-        f = (U - 2 * V) ** 4 * (U + V)
-        assert factor_multiplicity(f, U - 2 * V) == 4
-        assert factor_multiplicity(f, U + V) == 1
-        assert factor_multiplicity(f, U - V) == 0
+        f = ((U - 2 * V) ** 4 * (U + V)).affine_int()
+        assert ip.multiplicity_of_factor(f, (U - 2 * V).affine_int()) == 4
+        assert ip.multiplicity_of_factor(f, (U + V).affine_int()) == 1
+        assert ip.multiplicity_of_factor(f, (U - V).affine_int()) == 0
 
 
 small_frac = st.fractions(
@@ -150,11 +146,10 @@ class TestProperties:
     @given(forms(), forms())
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides_both(self, f, g):
-        from ellsurf.binform import divides_exactly
-
         d = form_gcd(f, g)
-        assert divides_exactly(f, d)
-        assert divides_exactly(g, d)
+        for h in (f, g):
+            assert ip.try_div_exact(h.affine_int(), d.affine_int()) is not None
+            assert d.v_order_at_infinity() <= h.v_order_at_infinity()
 
     @given(forms())
     @settings(max_examples=40, deadline=None)

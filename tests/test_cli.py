@@ -50,6 +50,19 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"k": True, "p": ["0"] * 5, "q": ["1"] + ["0"] * 6},
+            {"k": 1, "p": ["1/-2", "0", "0", "0", "1"], "q": ["1"] + ["0"] * 6},
+        ],
+    )
+    def test_hostile_document(self, runner, tmp_path, doc):
+        path = _write(tmp_path, "hostile.json", doc)
+        for command in ("validate", "report"):
+            result = runner.invoke(main, [command, path])
+            assert result.exit_code == 2, result.output
+
     def test_unreadable(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "missing.json")])
         assert result.exit_code == 2
@@ -161,6 +174,11 @@ class TestSearchCommand:
         assert result.exit_code == 2
         assert "bound" in result.output
 
+    def test_one_component_at_k2(self, runner):
+        result = runner.invoke(main, ["search", "--k", "2", "--components", "1"])
+        assert result.exit_code == 0, result.output
+        assert "h0=1" in result.output
+
     def test_two_components(self, runner, tmp_path):
         out = str(tmp_path / "found.json")
         result = runner.invoke(
@@ -179,10 +197,3 @@ class TestOracleCheckCommand:
         assert result.exit_code == 0
         assert "agree" in result.output
 
-
-class TestWorkerCap:
-    def test_thread_env_never_changes_bytes(self, runner, w1_file, monkeypatch):
-        base = runner.invoke(main, ["report", w1_file, "--json"]).output
-        monkeypatch.setenv("ELLSURF_THREADS", "8")
-        capped = runner.invoke(main, ["report", w1_file, "--json"]).output
-        assert capped == base

@@ -35,6 +35,14 @@ class TestRationals:
         with pytest.raises(DocumentError):
             parse_rational("0.5")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1/-2", "1/+2", "1_000", "\u0661\u0662", "1 /2", pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_only_sign_and_ascii_digits(self, text):
+        with pytest.raises(DocumentError):
+            parse_rational(text)
+
     def test_format_roundtrip(self):
         for x in (Fraction(3), Fraction(-1, 2), Fraction(0)):
             assert parse_rational(format_rational(x)) == x
@@ -54,6 +62,10 @@ class TestTripleDocuments:
     def test_wrong_lengths(self):
         with pytest.raises(DocumentError):
             triple_from_document({"k": 1, "p": ["1"] * 4, "q": ["0"] * 7})
+
+    def test_boolean_k_rejected(self):
+        with pytest.raises(DocumentError):
+            triple_from_document({"k": True, "p": ["0"] * 5, "q": ["1"] + ["0"] * 6})
 
     def test_missing_field(self):
         with pytest.raises(DocumentError):

@@ -1,0 +1,34 @@
+"""Golden corpus: report and search output bytes stay exactly as recorded."""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from ellsurf.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TRIPLES = sorted(GOLDEN.glob("*.triple.json"))
+
+
+@pytest.mark.parametrize("triple", TRIPLES, ids=lambda p: p.name[: -len(".triple.json")])
+def test_report_json_bytes(triple):
+    result = CliRunner().invoke(main, ["report", str(triple), "--json"])
+    assert result.exit_code == 0, result.output
+    expected = triple.with_name(triple.name.replace(".triple.json", ".report.json"))
+    assert result.output == expected.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("k,components", [(1, 5), (2, 4)])
+def test_search_out_bytes(tmp_path, k, components):
+    out = tmp_path / "found.json"
+    result = CliRunner().invoke(
+        main, ["search", "--k", str(k), "--components", str(components), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    expected = GOLDEN / f"search-k{k}-c{components}.out.json"
+    assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
+
+
+def test_corpus_is_present():
+    assert len(TRIPLES) >= 20

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ellsurf import (
+    INFINITY,
     BinForm,
     NotRealGeneric,
     compare,
@@ -85,6 +86,24 @@ class TestRefinementInvariance:
     def test_extra_sample_at_cut_rejected(self, w1):
         with pytest.raises(ValueError):
             oracle_topology(w1, extra_samples=[Fraction(1)])
+
+    def test_extra_samples_around_a_cut_at_infinity(self):
+        # nodal fibers at one irrational point and at infinity: the arc after
+        # infinity is sampled below the first cut, so its slice comes first
+        from ellsurf.roots import compare_finite
+
+        t = validate(
+            1, BinForm.make(4, [-1, 2, 7, -9, -3]), BinForm.make(6, [5, -2, -8, -4, -6, 2, 2])
+        )
+        base = oracle_topology(t)
+        assert [s.kind for s in base.slices] == ["sample", "cut", "sample", "cut"]
+        assert base.slices[-1].point == INFINITY
+        extra = [Fraction(20), Fraction(1, 3), Fraction(-20), Fraction(0), Fraction(1, 3)]
+        refined = oracle_topology(t, extra_samples=extra)
+        assert refined.triple() == base.triple()
+        assert len(refined.slices) == 8 and refined.slices[-1].point == INFINITY
+        finite = [s.point for s in refined.slices[:-1]]
+        assert all(compare_finite(a, b) < 0 for a, b in zip(finite, finite[1:]))
 
 
 class TestAgreement:

@@ -186,8 +186,7 @@ class TestBounds:
 
         fake = RealTopologyReport(
             h0=6, h1=0, h2=6, chi_top=12, orientable=False,
-            components=tuple(["S0"] * 6), arc_plus=5, arc_minus=0,
-            n_plus=12, n_minus=0, no_real_singular_fibers=False,
+            components=tuple(["S0"] * 6), arcs=None,
         )
         bc = check_bounds(fake, 1)
         assert not bc.component_bound_ok
@@ -198,8 +197,7 @@ class TestBounds:
 
         fake = RealTopologyReport(
             h0=1, h1=3, h2=1, chi_top=-1, orientable=False,
-            components=("V3",), arc_plus=0, arc_minus=0,
-            n_plus=0, n_minus=1, no_real_singular_fibers=False,
+            components=("V3",), arcs=None,
         )
         bc = check_bounds(fake, 1)
         assert not bc.h1_even_ok

@@ -23,7 +23,7 @@ from ellsurf import (
     verify_i0star,
 )
 from ellsurf.fuzz import random_valid_triple
-from ellsurf.oracle import compare
+from ellsurf.oracle import compare, oracle_topology
 from ellsurf.topology import I1_MINUS, I1_PLUS, arc_decomposition
 
 
@@ -200,6 +200,13 @@ class TestSearch:
         res = search_extremal(k, target, SearchBudget(max_candidates=64, rng_seed=0))
         assert res.found, res.reason
         assert betti(res.triple).h0 == target
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_component_at_higher_k(self, k):
+        # the padding of h used to make every candidate non-minimal here
+        res = search_extremal(k, 1, SearchBudget(max_candidates=128, rng_seed=0))
+        assert res.found, res.reason
+        assert oracle_topology(res.triple).h0 == 1
 
     def test_unreachable_target_reports_reason(self):
         res = search_extremal(2, 10, SearchBudget(max_candidates=64, rng_seed=0))
