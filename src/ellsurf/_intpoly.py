@@ -1,4 +1,4 @@
-"""Dense univariate polynomial arithmetic over Z and Q.
+"""Dense univariate polynomial arithmetic over Z.
 
 A polynomial is a list of coefficients in ascending order of degree,
 with no trailing zeros; the zero polynomial is the empty list.  Integer
@@ -8,8 +8,12 @@ exact divisibility matter here.
 
 This module is the exact kernel underneath the binary-form layer: gcd
 and squarefree decomposition, Sturm chains with exact rational
-endpoints, and bisection-based real root isolation.  No floating point
-anywhere.
+endpoints, and bisection-based real root isolation.  Division is
+fraction-free: one integer pseudo-division with a positive multiplier
+(Collins; Brown & Traub) serves gcds, Sturm chains and exact quotients,
+and since every rescaling is by a positive integer the primitive
+remainders and the quotients equal those of division over Q.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -135,46 +139,59 @@ def eval_sign(f: IntPoly, x: Fraction) -> int:
     return eval_int_sign(f, x.numerator, x.denominator)
 
 
-def divmod_frac(f: Sequence[Fraction], g: Sequence[Fraction]):
-    """Quotient and remainder over Q; g must be nonzero."""
-    r = [Fraction(c) for c in f]
-    while r and r[-1] == 0:
-        r.pop()
-    gg = [Fraction(c) for c in g]
-    while gg and gg[-1] == 0:
-        gg.pop()
-    if not gg:
+def _pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple:
+    """(Q, R, c) with c*f = Q*g + R, deg R < deg g, c = |lc g|^(deg f - deg g + 1).
+
+    The multiplier c is a positive integer, so R is a positive multiple
+    of the remainder over Q and Q of the quotient.  When deg f < deg g
+    the result is ([], f, 1).
+    """
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(r) - len(gg) + 1)
-    while r and len(r) >= len(gg):
-        k = len(r) - len(gg)
-        coef = r[-1] / gg[-1]
-        q[k] = coef
-        for i, c in enumerate(gg):
-            r[k + i] -= coef * c
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+    n = len(f) - len(g) + 1
+    if n <= 0:
+        return [], list(f), 1
+    a = abs(g[-1])
+    dg = len(g) - 1
+    # with lc g = sg * a, step k replaces r by a*r - t x^k g for
+    # t = sg * lc r, which cancels the leading term; the quotient term
+    # t x^k is multiplied by a in each of the k steps after it
+    sg = 1 if g[-1] > 0 else -1
+    r = list(f)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        t = r.pop() * sg
+        if a != 1:
+            r = [a * x for x in r]
+        if t:
+            q[k] = t * a ** k
+            for i in range(dg):
+                r[k + i] -= t * g[i]
+    return q, strip(r), a ** n
 
 
 def try_div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
-    """f // g when g divides f exactly over Q, else None."""
+    """f / g when g divides f exactly over Q, with denominators cleared, else None.
+
+    The result is the quotient over Q scaled by the least positive
+    integer that makes it integral.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if not f:
         return []
-    q, r = divmod_frac([Fraction(c) for c in f], [Fraction(c) for c in g])
+    q, r, c = _pseudo_divmod(f, g)
     if r:
         return None
-    return from_fractions(q)
+    d = int_gcd(c, content(q))
+    return [x // d for x in q]
 
 
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient."""
     a, b = monic_sign(f), monic_sign(g)
     while b:
-        _, r = divmod_frac([Fraction(c) for c in a], [Fraction(c) for c in b])
-        a, b = b, monic_sign(from_fractions(r))
+        a, b = b, monic_sign(_pseudo_divmod(a, b)[1])
     return a
 
 
@@ -239,24 +256,25 @@ def multiplicity_of_factor(f: IntPoly, factor: IntPoly) -> int:
 
 
 def sturm_chain(f: IntPoly) -> list:
-    """Sturm chain of the squarefree part of f, as primitive integer polys.
+    """Sturm chain of the squarefree part of f, as primitive integer polys."""
+    return _sturm_chain_sqf(squarefree_part(f))
+
+
+def _sturm_chain_sqf(f0: IntPoly) -> list:
+    """Sturm chain of f0, which must be squarefree, primitive with lc > 0.
 
     Each remainder is negated and rescaled by a positive rational only,
     so the sign structure of the textbook chain is preserved exactly.
     """
-    f0 = squarefree_part(f)
     chain = [f0, primitive(derivative(f0))]
     if not chain[-1]:
         chain.pop()
         return chain
     while True:
-        _, r = divmod_frac(
-            [Fraction(c) for c in chain[-2]], [Fraction(c) for c in chain[-1]]
-        )
-        ri = from_fractions(r)
-        if not ri:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
             break
-        chain.append(primitive(neg(ri)))
+        chain.append(primitive(neg(r)))
     return chain
 
 
@@ -353,7 +371,7 @@ def isolate_real_roots(f: IntPoly) -> list:
     if degree(s) <= 0:
         return []
     b = cauchy_bound(s)
-    chain = sturm_chain(s)
+    chain = _sturm_chain_sqf(s)
     out: list = []
     _bisect(s, chain, -b, b, sturm_count(chain, -b, b), out)
     out.sort(key=lambda r: r.lower())
@@ -368,11 +386,12 @@ def _bisect(s: IntPoly, chain, lo: Fraction, hi: Fraction, count: int, out: list
         return
     mid = (lo + hi) / 2
     if eval_sign(s, mid) == 0:
-        # rational root: record it, divide it out, recurse on the quotient
+        # rational root: record it, divide it out, recurse on the quotient,
+        # which is again squarefree, primitive and has lc > 0 (Gauss)
         out.append(RootLoc(mid, mid, exact=mid))
         q = try_div_exact(s, [-mid.numerator, mid.denominator])
         assert q is not None
-        chain_q = sturm_chain(q)
+        chain_q = _sturm_chain_sqf(q)
         _bisect(q, chain_q, lo, mid, sturm_count(chain_q, lo, mid), out)
         _bisect(q, chain_q, mid, hi, sturm_count(chain_q, mid, hi), out)
         return

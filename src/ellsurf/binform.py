@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Tuple, Union
 
 from . import _intpoly as ip
@@ -132,14 +133,19 @@ class BinForm:
 
     def __mul__(self, other):
         if isinstance(other, BinForm):
-            d = self.degree + other.degree
-            out = [Fraction(0)] * (d + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
+            # integer numerators over one common denominator per factor
+            da = lcm(*(c.denominator for c in self.coeffs))
+            db = lcm(*(c.denominator for c in other.coeffs))
+            bs = [int(c * db) for c in other.coeffs]
+            out = [0] * (self.degree + other.degree + 1)
+            for i, c in enumerate(self.coeffs):
+                if c == 0:
                     continue
-                for j, b in enumerate(other.coeffs):
+                a = int(c * da)
+                for j, b in enumerate(bs):
                     out[i + j] += a * b
-            return BinForm(d, tuple(out))
+            den = da * db
+            return BinForm(len(out) - 1, tuple(Fraction(x, den) for x in out))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return BinForm(self.degree, tuple(a * c for a in self.coeffs))

@@ -247,7 +247,7 @@ def search(k, components_, budget, seed, out):
     if not result.found:
         click.echo(f"not found: {result.reason} (tried {result.candidates_tried})")
         sys.exit(EXIT_VIOLATION)
-    rep = betti(result.triple)
+    rep = result.report
     click.echo(
         f"found after {result.candidates_tried} candidate(s): "
         f"h0={rep.h0} h1={rep.h1} chi={rep.chi_top}"

@@ -44,7 +44,7 @@ from .roots import (
     compare_finite,
     sign_at,
 )
-from .topology import arc_samples, betti, real_cuts
+from .topology import ArcDecomposition, arc_samples, betti, real_cuts
 from .weierstrass import FiberReport, WeierstrassTriple, classify_fibers
 
 
@@ -163,22 +163,31 @@ def oracle_topology(
     t: WeierstrassTriple,
     extra_samples: Sequence[Fraction] = (),
     reports: Optional[List[FiberReport]] = None,
+    arcs: Optional[ArcDecomposition] = None,
 ) -> OracleResult:
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
     extra_samples inserts more rational slice points (they must not be
     zeros of the discriminant); the output must not depend on them.
-    reports, when given, is the fiber classification of t.
+    reports, when given, is the fiber classification of t.  arcs, when
+    given, is the pipeline's arc decomposition of t: its ordered cuts
+    and arc samples are used as they are, and every slice is still
+    computed here.
     """
-    if reports is None:
-        reports, _ = classify_fibers(t)
-    cuts = real_cuts(reports)
+    if arcs is not None:
+        cuts = list(arcs.points)
+        samples = [a.sample for a in arcs.arcs]
+    else:
+        if reports is None:
+            reports, _ = classify_fibers(t)
+        cuts = real_cuts(reports)
+        samples = arc_samples(cuts)
     if not cuts:
         slices = [_sample_slice(t, FinitePoint(Fraction(0))), _sample_slice(t, INFINITY)]
     else:
         # circle order: each cut, then the sample of the arc after it
         slices = []
-        for cut, sample in zip(cuts, arc_samples(cuts)):
+        for cut, sample in zip(cuts, samples):
             slices += [_cut_slice(t, cut), _sample_slice(t, sample)]
         if isinstance(cuts[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
@@ -262,12 +271,13 @@ class Agreement:
 def compare(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> Agreement:
     """Assert the arc-formula topology equals the oracle topology exactly.
 
-    reports, when given, is the fiber classification of t; both sides use it.
+    reports, when given, is the fiber classification of t; both sides use
+    it, and the oracle takes its cuts and arc samples from betti's arcs.
     """
     if reports is None:
         reports, _ = classify_fibers(t)
     report = betti(t, reports)
-    result = oracle_topology(t, reports=reports)
+    result = oracle_topology(t, reports=reports, arcs=report.arcs)
     mine = (report.h0, report.h1, report.chi_top)
     if mine != result.triple():
         trace = "; ".join(

@@ -217,7 +217,9 @@ def irreducible_factors(poly: list) -> List[list]:
     """Distinct irreducible integer factors of a squarefree integer poly.
 
     Degree-0 content is dropped.  Uses sympy's factorization over Q;
-    everything downstream stays in exact integer/Fraction arithmetic.
+    everything downstream is exact: gcds, Sturm chains and divisions run
+    fraction-free over Z, and Fraction is used only for points and
+    interval endpoints.
     """
     if ip.degree(poly) < 1:
         return []

@@ -35,7 +35,13 @@ from .roots import (
     finite,
     sign_at,
 )
-from .topology import NotRealGeneric, _nodal_type_unchecked, betti, check_bounds
+from .topology import (
+    NotRealGeneric,
+    RealTopologyReport,
+    _nodal_type_unchecked,
+    betti,
+    check_bounds,
+)
 from .weierstrass import (
     ConjugatePairTag,
     FiberReport,
@@ -264,6 +270,9 @@ class SearchResult:
     triple: Optional[WeierstrassTriple]
     candidates_tried: int
     reason: str = ""
+    # the verified topology of the found surface; normalize rescales by a
+    # positive factor, so it is also the topology of `triple`
+    report: Optional[RealTopologyReport] = None
 
     @property
     def found(self) -> bool:
@@ -307,7 +316,8 @@ def search_extremal(k_target: int, h0_target: int, budget: SearchBudget) -> Sear
                 continue
             verified = _verify_candidate(cand, k_target, h0_target)
             if verified is not None:
-                return SearchResult(verified, tried)
+                found, report = verified
+                return SearchResult(found, tried, report=report)
     return SearchResult(None, tried, "no candidate passed verification")
 
 
@@ -397,7 +407,7 @@ def _build_candidate(
 
 def _verify_candidate(
     cand: WeierstrassTriple, k_target: int, h0_target: int
-) -> Optional[WeierstrassTriple]:
+) -> Optional[Tuple[WeierstrassTriple, RealTopologyReport]]:
     from .oracle import OracleDisagreement, compare
 
     try:
@@ -414,4 +424,4 @@ def _verify_candidate(
         compare(cand, reports)
     except OracleDisagreement:
         return None
-    return normalize(cand)
+    return normalize(cand), report

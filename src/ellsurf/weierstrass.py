@@ -13,6 +13,7 @@ come out to 12k exactly, which is asserted on every classification.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -51,6 +52,11 @@ class WeierstrassTriple:
     p: BinForm
     q: BinForm
 
+    @functools.cached_property
+    def delta(self) -> BinForm:
+        """The discriminant 4 p^3 + 27 q^2, built on first use and kept."""
+        return 4 * self.p ** 3 + 27 * self.q ** 2
+
 
 def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     """Check degrees, nonzero discriminant and minimality; return the triple.
@@ -66,13 +72,13 @@ def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
         raise WeierstrassError(f"p must have container degree {4 * k}, got {p.degree}")
     if q.degree != 6 * k:
         raise WeierstrassError(f"q must have container degree {6 * k}, got {q.degree}")
-    delta = 4 * p ** 3 + 27 * q ** 2
-    if delta.is_zero:
+    t = WeierstrassTriple(k, p, q)
+    if t.delta.is_zero:
         raise DeltaIdenticallyZero()
     witness = _nonminimal_witness(p, q)
     if witness is not None:
         raise NonMinimal(witness)
-    return WeierstrassTriple(k, p, q)
+    return t
 
 
 def _derivative_chain(f: BinForm, order: int) -> List[BinForm]:
@@ -125,8 +131,8 @@ def _nonminimal_witness(p: BinForm, q: BinForm):
 
 
 def discriminant(t: WeierstrassTriple) -> BinForm:
-    """4 p^3 + 27 q^2, a form of degree 12k."""
-    return 4 * t.p ** 3 + 27 * t.q ** 2
+    """4 p^3 + 27 q^2, a form of degree 12k; the same object on every call."""
+    return t.delta
 
 
 @dataclass(frozen=True)

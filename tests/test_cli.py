@@ -190,6 +190,17 @@ class TestSearchCommand:
 
         assert betti(load_triple(out)).h0 == 2
 
+    def test_prints_the_verified_topology(self, runner, monkeypatch):
+        import ellsurf.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("search must not classify the found surface again")
+
+        monkeypatch.setattr(ellsurf.cli, "betti", refuse)
+        result = runner.invoke(main, ["search", "--k", "1", "--components", "5"])
+        assert result.exit_code == 0, result.output
+        assert "h0=5 h1=2 chi=8" in result.output
+
 
 class TestOracleCheckCommand:
     def test_w1_agrees(self, runner, w1_file):

@@ -1,0 +1,90 @@
+"""The fraction-free integer kernel checked against sympy's polynomial arithmetic."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellsurf import _intpoly as ip
+
+X = sympy.Symbol("x")
+
+polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(ip.strip)
+nonzero = polys.filter(bool)
+nonconstant = polys.filter(lambda f: ip.degree(f) >= 1)
+
+
+def _poly(f, domain="ZZ"):
+    return sympy.Poly(list(reversed(f)), X, domain=domain)
+
+
+def _rationals(p) -> list:
+    """Ascending coefficients of a sympy Poly as Fractions, stripped."""
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _primitive_positive(coeffs) -> list:
+    """Integer multiple with coprime coefficients and positive lead."""
+    if not coeffs:
+        return []
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+@given(nonzero, polys, polys)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_sympy(a, b, c):
+    f, g = ip.mul(a, b), ip.mul(a, c)
+    expected = _rationals(_poly(f).gcd(_poly(g)))
+    assert ip.gcd(f, g) == _primitive_positive(expected)
+
+
+@given(polys, nonzero, polys)
+@settings(max_examples=150, deadline=None)
+def test_try_div_exact_matches_sympy(a, b, c):
+    for f in (ip.mul(a, b), ip.add(ip.mul(a, b), c)):
+        q, r = _poly(f, "QQ").div(_poly(b, "QQ"))
+        got = ip.try_div_exact(f, b)
+        if not r.is_zero:
+            assert got is None
+        elif not f:
+            assert got == []
+        else:
+            quotient = _rationals(q)
+            den = lcm(*(x.denominator for x in quotient))
+            assert got == [int(x * den) for x in quotient]
+
+
+@given(nonconstant, polys)
+@settings(max_examples=150, deadline=None)
+def test_sturm_chain_entries_are_positive_multiples_of_sympy(a, b):
+    f = ip.mul(a, ip.mul(b, b)) if b else a
+    ours = ip.sturm_chain(f)
+    theirs = [_rationals(s) for s in sympy.sturm(_poly(f, "QQ"))]
+    assert len(ours) == len(theirs)
+    for mine, ref in zip(ours, theirs):
+        assert len(mine) == len(ref)
+        ratio = Fraction(mine[-1]) / ref[-1]
+        assert ratio > 0
+        assert all(Fraction(m) == ratio * r for m, r in zip(mine, ref))
+
+
+@given(polys, nonzero)
+@settings(max_examples=150, deadline=None)
+def test_pseudo_division_identity(f, g):
+    q, r, c = ip._pseudo_divmod(f, g)
+    assert c > 0
+    assert c == abs(g[-1]) ** max(0, ip.degree(f) - ip.degree(g) + 1)
+    assert ip.degree(r) < ip.degree(g)
+    assert (_poly(q) * _poly(g) + _poly(r)) == c * _poly(f)

@@ -70,6 +70,9 @@ class TestDiscriminant:
         t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
         assert discriminant(t) == BinForm.monomial(12, 6, 31)
 
+    def test_built_once_per_triple(self, w1):
+        assert discriminant(w1) is discriminant(w1)
+
     def test_w1_factorization(self, w1):
         h = interlace_sextic()
         expected = 27 * h * (h + 4 * V ** 6)
