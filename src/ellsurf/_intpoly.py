@@ -7,8 +7,9 @@ input clears denominators first, since only signs, root locations and
 exact divisibility matter here.
 
 This module is the exact kernel underneath the binary-form layer: gcd
-and squarefree decomposition, Sturm chains with exact rational
-endpoints, and bisection-based real root isolation.  Division is
+and squarefree decomposition, rational roots by p-adic lifting, Sturm
+chains with exact rational endpoints, and bisection-based real root
+isolation.  Nothing is ever factored into irreducibles.  Division is
 fraction-free: one integer pseudo-division with a positive multiplier
 (Collins; Brown & Traub) serves gcds, Sturm chains and exact quotients,
 and since every rescaling is by a positive integer the primitive
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 from typing import Optional, Sequence
 
 IntPoly = list  # list[int], ascending, stripped
@@ -237,6 +239,61 @@ def yun_decomposition(f: IntPoly) -> list:
         d = sub(c2, derivative(b))
         i += 1
     return out
+
+
+def _eval_mod(f: IntPoly, x: int, m: int) -> int:
+    total = 0
+    for c in reversed(f):
+        total = (total * x + c) % m
+    return total
+
+
+def rational_roots(f: IntPoly) -> tuple:
+    """(roots, rest): the rational roots of a squarefree integer f, ascending,
+    and f divided by their linear factors, found without factoring.
+
+    p-adic expansion (Loos 1983): take a prime p not dividing lc f at
+    which every root of f mod p is simple, Newton-lift each such root
+    until p^m > 2 C^2 with C = max(|lc f|, |f(0)|), rebuild a/b by
+    half-extended Euclid and keep it only when b u - a divides f
+    exactly.  A root a/b in lowest terms has |a| <= |f(0)| and
+    0 < b <= |lc f|, so it reduces to one of the lifted roots and is the
+    unique fraction with |a|, b <= C in that residue class mod p^m.
+    rest is primitive with lc > 0 (constant when every root is rational).
+    """
+    rest = monic_sign(f)
+    out = []
+    if rest and rest[0] == 0:
+        out.append(Fraction(0))
+        rest = rest[1:]
+    if degree(rest) < 1:
+        return out, rest
+    f, df = rest, derivative(rest)
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)) or f[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+        if all(_eval_mod(df, r, p) for r in residues):
+            break
+    c = max(f[-1], abs(f[0]))
+    for r in residues:
+        m = p
+        while m <= 2 * c * c:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > c:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        quotient = try_div_exact(rest, [-r1, t1]) if t1 <= c else None
+        if quotient is not None:
+            out.append(Fraction(r1, t1))
+            rest = quotient
+    return sorted(out), rest
 
 
 def multiplicity_of_factor(f: IntPoly, factor: IntPoly) -> int:

@@ -200,51 +200,51 @@ def isolate_real_roots(f: BinForm) -> CircleOrder:
     """All distinct real roots of f on P^1(R) as exact circle points.
 
     Rational roots come back as FinitePoint, irrational ones as
-    AlgebraicPoint against the irreducible factor that vanishes there,
-    and infinity as InfinityPoint when v divides f.
+    AlgebraicPoint against the quotient of the squarefree part of f by
+    its rational linear factors (see rational_split), and infinity as
+    InfinityPoint when v divides f.  Nothing is factored.
     """
     if f.is_zero:
         raise ValueError("zero form")
     pts: List[CirclePoint] = []
-    for factor in irreducible_factors(squarefree_part(f).affine_int()):
-        pts.extend(points_of_irreducible(factor))
+    for _, factor_pts in rational_split(squarefree_part(f).affine_int()):
+        pts.extend(factor_pts)
     if f.v_order_at_infinity() >= 1:
         pts.append(INFINITY)
     return CircleOrder.from_points(pts)
 
 
-def irreducible_factors(poly: list) -> List[list]:
-    """Distinct irreducible integer factors of a squarefree integer poly.
+def factor_order(factor: list) -> tuple:
+    """Sort key of an integer factor: degree, then coefficients from the leading one down.
 
-    Degree-0 content is dropped.  Uses sympy's factorization over Q;
-    everything downstream is exact: gcds, Sturm chains and divisions run
-    fraction-free over Z, and Fraction is used only for points and
-    interval endpoints.
+    This is the order sympy's factor_list gives irreducible factors.
     """
-    if ip.degree(poly) < 1:
-        return []
-    import sympy
+    return len(factor), factor[::-1]
 
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(poly)), x)
-    _, factors = expr.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-        out.append(ip.monic_sign(coeffs))
+
+def rational_split(s: list) -> List[Tuple[list, List[CirclePoint]]]:
+    """Squarefree integer s as [(factor, real points of factor)], without factoring.
+
+    Each rational root a/b (ip.rational_roots) gives the factor b u - a
+    with its FinitePoint.  The quotient of s by all of them, when not
+    constant, has no rational root, so each of its real points is an
+    AlgebraicPoint on it.  Factors are primitive with lc > 0 and sorted
+    by factor_order; whenever the quotient is irreducible they are the
+    irreducible factors of s in sympy's order.
+    """
+    roots, rest = ip.rational_roots(s)
+    out: List[Tuple[list, List[CirclePoint]]] = [
+        ([-r.numerator, r.denominator], [FinitePoint(r)]) for r in roots
+    ]
+    out.sort(key=lambda unit: factor_order(unit[0]))
+    if ip.degree(rest) >= 1:
+        form = BinForm.from_affine(ip.degree(rest), rest)
+        pts: List[CirclePoint] = []
+        for loc in ip.isolate_real_roots(rest):
+            assert loc.exact is None, "the quotient by every rational root has none left"
+            pts.append(AlgebraicPoint(form, loc.lo, loc.hi))
+        out.append((rest, pts))
     return out
-
-
-def points_of_irreducible(factor: list) -> List[CirclePoint]:
-    """Real points cut out by one irreducible integer polynomial."""
-    if ip.degree(factor) == 1:
-        return [FinitePoint(Fraction(-factor[0], factor[1]))]
-    form = BinForm.from_affine(ip.degree(factor), factor)
-    pts: List[CirclePoint] = []
-    for loc in ip.isolate_real_roots(factor):
-        assert loc.exact is None, "irreducible of degree >= 2 has no rational root"
-        pts.append(AlgebraicPoint(form, loc.lo, loc.hi))
-    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,9 @@ def real_cuts(reports: Sequence[FiberReport]) -> List[CirclePoint]:
     """The real singular points in circle order; all must be nodal.
 
     Raises NotRealGeneric when some real singular fiber is not nodal.
-    Locations come from classification, so algebraic points belong to
-    distinct irreducible factors or distinct roots of one factor; they
-    are refined until the cyclic order is unambiguous.
+    Locations come from classification, so algebraic points are distinct
+    roots of one squarefree factor or roots of coprime factors; they are
+    refined until the cyclic order is unambiguous.
     """
     real = [r for r in reports if r.is_real]
     offenders = [r for r in real if r.v_delta != 1]

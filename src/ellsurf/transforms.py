@@ -54,8 +54,15 @@ from .weierstrass import (
 
 
 def twist(t: WeierstrassTriple) -> WeierstrassTriple:
-    """(p, q) -> (p, -q): same complex surface, conjugate real structure."""
-    return WeierstrassTriple(t.k, t.p, -t.q)
+    """(p, q) -> (p, -q): same complex surface, conjugate real structure.
+
+    Delta = 4p^3 + 27q^2 is unchanged, so the twisted triple takes over
+    t's discriminant instead of building it again.
+    """
+    out = WeierstrassTriple(t.k, t.p, -t.q)
+    # cached_property reads its value from the instance dict first
+    out.__dict__["delta"] = t.delta
+    return out
 
 
 class InvalidI0StarParams(ValueError):

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple, Union
 
 from . import _intpoly as ip
 from .binform import BinForm, form_gcd
-from .roots import INFINITY, CirclePoint, irreducible_factors, points_of_irreducible
+from .roots import INFINITY, CirclePoint, factor_order, rational_split
 
 
 class WeierstrassError(ValueError):
@@ -35,8 +35,9 @@ class DeltaIdenticallyZero(WeierstrassError):
 class NonMinimal(WeierstrassError):
     """Some point carries p-order >= 4 and q-order >= 6.
 
-    The witness is a circle point when the offending point is real
-    (rational or infinity), otherwise the offending irreducible factor.
+    The witness is a circle point when some offending point is real,
+    otherwise the squarefree form that cuts out the offending conjugate
+    pairs.
     """
 
     def __init__(self, witness: Union[CirclePoint, BinForm]):
@@ -122,9 +123,7 @@ def _nonminimal_witness(p: BinForm, q: BinForm):
     assert g is not None and g.degree >= 1
     if g.v_order_at_infinity() >= 1:
         return INFINITY
-    ga = g.affine_int()
-    factor = irreducible_factors(ga)[0]
-    pts = points_of_irreducible(factor)
+    factor, pts = rational_split(ip.squarefree_part(g.affine_int()))[0]
     if pts:
         return pts[0]
     return BinForm.from_affine(ip.degree(factor), factor)
@@ -322,7 +321,12 @@ def kodaira_from_valuations(v_p: Optional[int], v_q: Optional[int], v_delta: int
 
 @dataclass(frozen=True)
 class ConjugatePairTag:
-    """Non-real fibers grouped by the irreducible factor cutting them out."""
+    """Non-real fibers grouped by the factor cutting them out.
+
+    The factor is the part of one stratum of Delta (see classify_fibers)
+    left after its rational roots are divided out; it is squarefree and
+    has no rational root, but need not be irreducible.
+    """
 
     factor: BinForm
     pairs: int
@@ -363,23 +367,26 @@ class SurfaceInvariants:
 def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInvariants]:
     """One report per singular fiber; conjugate pairs share a report.
 
-    Valuations are taken per irreducible factor of the discriminant (all
-    roots of one factor have identical orders in p, q and Delta), so no
-    arithmetic over extensions is ever needed.  The Euler numbers are
-    summed and checked against 12k.
+    Delta is cut into strata with gcds only (_strata): squarefree pieces
+    on whose roots (v_p, v_q, v_Delta) is constant, so no factoring and
+    no arithmetic over extensions is needed.  Each piece is split into
+    its rational linear factors and the rest (rational_split), and the
+    reports follow those factors in factor_order, which is the order of
+    the irreducible factors of Delta whenever every rest is irreducible.
+    The Euler numbers are summed and checked against 12k.
     """
     delta = discriminant(t)
-    da = delta.affine_int()
     pa = None if t.p.is_zero else t.p.affine_int()
     qa = None if t.q.is_zero else t.q.affine_int()
-    reports: List[FiberReport] = []
-
-    for factor in irreducible_factors(ip.squarefree_part(da)):
-        v_delta = ip.multiplicity_of_factor(da, factor)
-        v_p = None if pa is None else ip.multiplicity_of_factor(pa, factor)
-        v_q = None if qa is None else ip.multiplicity_of_factor(qa, factor)
+    units = []
+    for piece, v_p, v_q, v_delta in _strata(delta.affine_int(), pa, qa):
         kod = kodaira_from_valuations(v_p, v_q, v_delta)
-        real_pts = points_of_irreducible(factor)
+        for factor, pts in rational_split(piece):
+            units.append((factor, pts, v_p, v_q, v_delta, kod))
+    units.sort(key=lambda unit: factor_order(unit[0]))
+
+    reports: List[FiberReport] = []
+    for factor, real_pts, v_p, v_q, v_delta, kod in units:
         for pt in real_pts:
             reports.append(FiberReport(pt, v_p, v_q, v_delta, kod, is_real=True))
         pairs = (ip.degree(factor) - len(real_pts)) // 2
@@ -403,3 +410,56 @@ def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInv
             "fiber classification is inconsistent"
         )
     return reports, SurfaceInvariants.for_k(t.k)
+
+
+def _strata(da: list, pa: Optional[list], qa: Optional[list]) -> list:
+    """[(piece, v_p, v_q, v_Delta)]: squarefree pieces covering the finite roots of Delta.
+
+    Every root of a piece has the same orders; None stands for a zero
+    form.  v_Delta comes from Yun's decomposition of Delta.  Since
+    Delta = 4p^3 + 27q^2, a root of Delta is a root of p exactly when it
+    is one of q, i.e. a root of gcd(p, q); the rest of each component
+    has v_p = v_q = 0.  The shared part is split by gcds with the Yun
+    components of p and then of q, which are computed only when some
+    component shares a root with p and q.
+    """
+    if pa is None or qa is None:
+        shared = qa if pa is None else pa
+    else:
+        shared = ip.gcd(pa, qa)
+    yun_pq = None
+    strata = []
+    for g, v_delta in ip.yun_decomposition(da):
+        if ip.degree(shared) >= 1:
+            common = ip.gcd(g, shared)
+            if ip.degree(common) >= 1:
+                g = ip.try_div_exact(g, common)
+                if yun_pq is None:
+                    yun_pq = [None if f is None else ip.yun_decomposition(f) for f in (pa, qa)]
+                for piece_p, v_p in _split_by_order(common, yun_pq[0]):
+                    for piece, v_q in _split_by_order(piece_p, yun_pq[1]):
+                        strata.append((piece, v_p, v_q, v_delta))
+        if ip.degree(g) >= 1:
+            strata.append((g, 0, 0, v_delta))
+    return strata
+
+
+def _split_by_order(s: list, yun: Optional[list]) -> list:
+    """[(piece, m)]: squarefree s cut by the order m of f at its roots.
+
+    Every root of s is a root of f; yun is f's Yun decomposition, or
+    None for f = 0, which gives the single piece (s, None).
+    """
+    if yun is None:
+        return [(s, None)]
+    out = []
+    left = ip.degree(s)
+    for comp, m in yun:
+        piece = ip.gcd(s, comp)
+        if ip.degree(piece) >= 1:
+            out.append((piece, m))
+            left -= ip.degree(piece)
+            if left == 0:
+                break
+    assert left == 0, "every root of s is a root of f"
+    return out

@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +120,29 @@ class TestReportCommand:
         a = runner.invoke(main, ["report", w1_file, "--json"]).output
         b = runner.invoke(main, ["report", w1_file, "--json"]).output
         assert a == b
+
+    def test_report_and_compare_never_import_sympy(self, w1_file):
+        # classification factors nothing, so only normalize loads sympy
+        script = (
+            "import sys\n"
+            "from ellsurf.cli import main\n"
+            "from ellsurf.documents import load_triple\n"
+            "from ellsurf.oracle import compare\n"
+            f"path = {w1_file!r}\n"
+            "try:\n"
+            "    main.main(['report', path, '--json'], standalone_mode=False)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code\n"
+            "compare(load_triple(path))\n"
+            "print('sympy' in sys.modules, file=sys.stderr)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "False"
 
 
 class TestTransformCommand:

@@ -88,3 +88,33 @@ def test_pseudo_division_identity(f, g):
     assert c == abs(g[-1]) ** max(0, ip.degree(f) - ip.degree(g) + 1)
     assert ip.degree(r) < ip.degree(g)
     assert (_poly(q) * _poly(g) + _poly(r)) == c * _poly(f)
+
+
+rational_roots_drawn = st.lists(
+    st.fractions(min_value=-60, max_value=60, max_denominator=40), max_size=5
+)
+
+
+@given(
+    rational_roots_drawn,
+    st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(ip.strip).filter(bool),
+    st.sampled_from([1, 2, 360, 10 ** 12 + 39]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zero):
+    f = cofactor[:-1] + [cofactor[-1] * lead]
+    for r in roots + ([Fraction(0)] if at_zero else []):
+        f = ip.mul(f, [-r.numerator, r.denominator])
+    s = ip.squarefree_part(f)
+    _, factors = _poly(s).factor_list()
+    expected = sorted(
+        Fraction(-int(c0), int(c1))
+        for c1, c0 in (fac.all_coeffs() for fac, _ in factors if fac.degree() == 1)
+    )
+    roots, rest = ip.rational_roots(s)
+    assert roots == expected
+    product = [1]
+    for r in roots:
+        product = ip.mul(product, [-r.numerator, r.denominator])
+    assert _poly(ip.mul(product, rest)) == _poly(ip.monic_sign(s))

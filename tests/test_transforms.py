@@ -33,7 +33,11 @@ class TestTwist:
         assert normalize(twist(twist(w1))) == normalize(w1)
 
     def test_preserves_discriminant(self, w1):
-        assert discriminant(twist(w1)) == discriminant(w1)
+        tw = twist(w1)
+        assert discriminant(tw) == 4 * tw.p ** 3 + 27 * tw.q ** 2 == discriminant(w1)
+
+    def test_hands_the_discriminant_on(self, w1):
+        assert discriminant(twist(w1)) is discriminant(w1)
 
     def test_preserves_complex_fiber_data(self, w1):
         def key(t):
