@@ -15,11 +15,15 @@ fraction-free: one integer pseudo-division with a positive multiplier
 and since every rescaling is by a positive integer the primitive
 remainders and the quotients equal those of division over Q.  No
 floating point anywhere.
+
+Isolation takes what rational_roots leaves: squarefree, primitive,
+lc > 0 and without a rational root.  Every root it meets is therefore
+irrational and comes back as an open interval; a rational root hit
+during bisection is a broken contract and raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt
@@ -40,10 +44,6 @@ def degree(f: IntPoly) -> int:
     return len(f) - 1
 
 
-def is_zero(f: IntPoly) -> bool:
-    return not f
-
-
 def add(f: IntPoly, g: IntPoly) -> IntPoly:
     n = max(len(f), len(g))
     out = [0] * n
@@ -60,24 +60,6 @@ def neg(f: IntPoly) -> IntPoly:
 
 def sub(f: IntPoly, g: IntPoly) -> IntPoly:
     return add(f, neg(g))
-
-
-def mul(f: IntPoly, g: IntPoly) -> IntPoly:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return strip(out)
-
-
-def scale(f: IntPoly, c: int) -> IntPoly:
-    if c == 0:
-        return []
-    return [a * c for a in f]
 
 
 def derivative(f: IntPoly) -> IntPoly:
@@ -383,55 +365,25 @@ def count_real_roots(f: IntPoly, lo: Optional[Fraction] = None, hi: Optional[Fra
 
 
 def cauchy_bound(f: IntPoly) -> Fraction:
-    """B such that every real root of f lies in (-B, B)."""
-    if degree(f) < 1:
-        return Fraction(1)
-    lead = abs(f[-1])
-    m = max(abs(c) for c in f[:-1]) if len(f) > 1 else 0
-    return Fraction(m, lead) + 1
+    """B such that every real root of f, of degree >= 1, lies in (-B, B)."""
+    return Fraction(max(abs(c) for c in f[:-1]), abs(f[-1])) + 1
 
 
-@dataclass(frozen=True)
-class RootLoc:
-    """One real root: either exact rational, or irrational in (lo, hi).
+def isolate_real_roots(s: IntPoly) -> list:
+    """Isolating intervals [(lo, hi)] of the real roots of s, ascending.
 
-    For irrational roots the base polynomial changes sign over (lo, hi)
-    and has no other root there; lo and hi are never roots.
+    s must be what rational_roots leaves: squarefree, primitive with
+    lc > 0 and without a rational root.  Each open interval holds
+    exactly one root and its rational endpoints are not roots.  A
+    bisection midpoint that is a root breaks the contract and raises
+    ValueError.
     """
-
-    lo: Fraction
-    hi: Fraction
-    exact: Optional[Fraction] = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def upper(self) -> Fraction:
-        return self.exact if self.exact is not None else self.hi
-
-    def lower(self) -> Fraction:
-        return self.exact if self.exact is not None else self.lo
-
-
-def isolate_real_roots(f: IntPoly) -> list:
-    """All distinct real roots of f as a sorted list of RootLoc.
-
-    f must be nonzero; multiplicities are ignored (the squarefree part
-    is isolated).  Rational roots hit during bisection are reported
-    exactly; irrational roots get open isolating intervals with rational
-    endpoints that are themselves non-roots.
-    """
-    if not f:
-        raise ValueError("zero polynomial")
-    s = squarefree_part(f)
     if degree(s) <= 0:
         return []
     b = cauchy_bound(s)
     chain = _sturm_chain_sqf(s)
     out: list = []
     _bisect(s, chain, -b, b, sturm_count(chain, -b, b), out)
-    out.sort(key=lambda r: r.lower())
     return out
 
 
@@ -439,19 +391,11 @@ def _bisect(s: IntPoly, chain, lo: Fraction, hi: Fraction, count: int, out: list
     if count == 0:
         return
     if count == 1:
-        out.append(RootLoc(lo, hi))
+        out.append((lo, hi))
         return
     mid = (lo + hi) / 2
     if eval_sign(s, mid) == 0:
-        # rational root: record it, divide it out, recurse on the quotient,
-        # which is again squarefree, primitive and has lc > 0 (Gauss)
-        out.append(RootLoc(mid, mid, exact=mid))
-        q = try_div_exact(s, [-mid.numerator, mid.denominator])
-        assert q is not None
-        chain_q = _sturm_chain_sqf(q)
-        _bisect(q, chain_q, lo, mid, sturm_count(chain_q, lo, mid), out)
-        _bisect(q, chain_q, mid, hi, sturm_count(chain_q, mid, hi), out)
-        return
+        raise ValueError(f"rational root {mid}: divide the rational roots out first")
     left = sturm_count(chain, lo, mid)
     _bisect(s, chain, lo, mid, left, out)
     _bisect(s, chain, mid, hi, count - left, out)

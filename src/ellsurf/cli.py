@@ -36,13 +36,9 @@ from .transforms import (
     search_extremal,
     twist,
     verify_i0star,
+    verify_twist,
 )
-from .weierstrass import (
-    NonMinimal,
-    WeierstrassError,
-    classify_fibers,
-    normalize,
-)
+from .weierstrass import NonMinimal, WeierstrassError, classify_fibers
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -135,8 +131,6 @@ def _print_text_report(doc: dict) -> None:
         f"components={'+'.join(topo['components'])} "
         f"{'orientable' if topo['orientable'] else 'non-orientable'}"
     )
-    if "caveat" in topo:
-        click.echo(f"  caveat: {topo['caveat']}")
     bounds = doc["bounds"]
     click.echo(
         f"bounds: h0<=5k {'ok' if bounds['h0_le_5k'] else 'VIOLATED'}; "
@@ -160,6 +154,18 @@ def report(file, as_json):
     sys.exit(EXIT_OK)
 
 
+def _print_checks(ver) -> None:
+    """One line per check; exit 1 when any is violated."""
+    for c in ver.checks:
+        if c.ok is None:
+            status = "not applicable: " + c.detail
+        else:
+            status = "ok" if c.ok else "VIOLATED " + c.detail
+        click.echo(f"  {c.name}: {status}")
+    if not ver.ok:
+        sys.exit(EXIT_VIOLATION)
+
+
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--twist", "do_twist", is_flag=True, help="apply (p, q) -> (p, -q)")
@@ -175,11 +181,7 @@ def transform(file, do_twist, i0star, do_verify, out):
     if do_twist:
         result = twist(t)
         if do_verify:
-            back = twist(result)
-            same = normalize(back) == normalize(t)
-            click.echo(f"twist involution: {'ok' if same else 'VIOLATED'}")
-            if not same:
-                sys.exit(EXIT_VIOLATION)
+            _print_checks(verify_twist(t, result))
     else:
         try:
             a = parse_rational(i0star[0])
@@ -190,11 +192,7 @@ def transform(file, do_twist, i0star, do_verify, out):
             sys.exit(EXIT_INVALID)
         result = i0star_transform(t, params)
         if do_verify:
-            ver = verify_i0star(t, params, result)
-            for c in ver.checks:
-                click.echo(f"  {c.name}: {'ok' if c.ok else 'VIOLATED ' + c.detail}")
-            if not ver.ok:
-                sys.exit(EXIT_VIOLATION)
+            _print_checks(verify_i0star(t, params, result))
     text = dump_json(triple_to_document(result))
     if out:
         with open(out, "w", encoding="utf-8") as fh:

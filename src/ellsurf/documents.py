@@ -167,7 +167,7 @@ def arcs_to_document(dec: ArcDecomposition) -> dict:
 
 
 def topology_to_document(rep: RealTopologyReport) -> dict:
-    doc = {
+    return {
         "h0": rep.h0,
         "h1": rep.h1,
         "h2": rep.h2,
@@ -177,12 +177,6 @@ def topology_to_document(rep: RealTopologyReport) -> dict:
         "components": list(rep.components),
         "no_real_singular_fibers": rep.no_real_singular_fibers,
     }
-    if rep.single_component_caveat:
-        doc["caveat"] = (
-            "no real singular fiber and positive discriminant: a single "
-            "torus/Klein component was computed from signs"
-        )
-    return doc
 
 
 def bounds_to_document(bc: BoundChecks) -> dict:

@@ -90,13 +90,16 @@ def _record_violation(summary: FuzzSummary, kind: str, detail: str, t: Weierstra
     )
 
 
+# every this many trials an I0* step is tried and verified
+I0STAR_EVERY = 25
+
+
 def run_fuzz(
     k: int,
     trials: int,
     seed: int,
     height: int = 9,
     oracle_every: int = 10,
-    i0star_every: int = 25,
 ) -> FuzzSummary:
     """The full fuzz pass; deterministic in all arguments."""
     rng = random.Random(seed)
@@ -158,7 +161,7 @@ def run_fuzz(
             except OracleDisagreement as exc:
                 _record_violation(summary, "oracle", str(exc), t)
 
-        if i0star_every and index % i0star_every == 0:
+        if index % I0STAR_EVERY == 0:
             done = _try_i0star(summary, rng, t)
             if done:
                 summary.i0star_checked += 1

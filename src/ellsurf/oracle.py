@@ -5,7 +5,7 @@ cuts) and at one rational sample inside every arc.  Where the cuts lie
 and which rational point samples each arc come from the pipeline
 (topology.real_cuts and topology.arc_samples); every verdict below is
 computed here from the fiber cubics.  At a sample the fiber is a smooth
-real cubic whose real roots are isolated exactly: one root gives a
+real cubic whose real roots are counted exactly: one root gives a
 single circle through the section point at infinity (the "branch"),
 three roots give that branch plus a compact oval over the two lower
 roots.  At a nodal cut the fiber either keeps one circle with an
@@ -115,14 +115,13 @@ def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> list:
 
 
 def _sample_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
-    cubic = _fiber_cubic_at(t, pt)
-    roots = ip.isolate_real_roots(cubic)
-    if len(roots) == 3:
+    roots = ip.count_real_roots(_fiber_cubic_at(t, pt))
+    if roots == 3:
         return FiberSlice(pt, "sample", ("oval", "branch"))
-    if len(roots) == 1:
+    if roots == 1:
         return FiberSlice(pt, "sample", ("branch",))
     raise AssertionError(
-        f"smooth real cubic with {len(roots)} real roots at {pt}; "
+        f"smooth real cubic with {roots} real roots at {pt}; "
         "the slice point must avoid the discriminant zeros"
     )
 

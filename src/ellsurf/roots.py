@@ -12,15 +12,12 @@ infinity, wrapping back to -infinity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from . import _intpoly as ip
 from .binform import BinForm, form_gcd, squarefree_part
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def circle_sort_key_refine(points: Sequence[CirclePoint]) -> List[CirclePoint]:
 
     Algebraic points are refined until intervals are pairwise disjoint
     and exclude every rational point in the list; the refined copies are
-    returned.
+    returned, sorted by lower bound.
     """
     infs = [p for p in points if isinstance(p, InfinityPoint)]
     if len(infs) > 1:
@@ -160,44 +157,26 @@ def circle_sort_key_refine(points: Sequence[CirclePoint]) -> List[CirclePoint]:
             for j in range(i + 1, len(refined)):
                 a, b = refined[i], refined[j]
                 if isinstance(a, AlgebraicPoint) and isinstance(b, AlgebraicPoint):
-                    alo, ahi = _bounds(a)
-                    blo, bhi = _bounds(b)
-                    if ahi > blo and bhi > alo:
+                    if a.hi > b.lo and b.hi > a.lo:
                         if points_equal(a, b):
                             raise ValueError("duplicate algebraic point")
                         refined[i] = a.refined()
                         refined[j] = b.refined()
                         changed = True
-    refined.sort(key=functools.cmp_to_key(compare_finite))
+    # no interval holds another point now, so lower bounds order the points
+    refined.sort(key=lambda p: _bounds(p)[0])
     for prev, cur in zip(refined, refined[1:]):
-        if points_equal(prev, cur):
+        if prev == cur:
             raise ValueError("duplicate point in circle order")
     return refined + infs
-
-
-@dataclass(frozen=True)
-class CircleOrder:
-    """Distinct points of P^1(R) in cyclic order (reals ascending, then inf)."""
-
-    points: Tuple[CirclePoint, ...]
-
-    @staticmethod
-    def from_points(points: Sequence[CirclePoint]) -> "CircleOrder":
-        return CircleOrder(tuple(circle_sort_key_refine(points)))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 # ---------------------------------------------------------------------------
 # isolation of all real roots of a form on the circle
 
 
-def isolate_real_roots(f: BinForm) -> CircleOrder:
-    """All distinct real roots of f on P^1(R) as exact circle points.
+def isolate_real_roots(f: BinForm) -> List[CirclePoint]:
+    """All distinct real roots of f on P^1(R) as exact circle points, in circle order.
 
     Rational roots come back as FinitePoint, irrational ones as
     AlgebraicPoint against the quotient of the squarefree part of f by
@@ -211,7 +190,7 @@ def isolate_real_roots(f: BinForm) -> CircleOrder:
         pts.extend(factor_pts)
     if f.v_order_at_infinity() >= 1:
         pts.append(INFINITY)
-    return CircleOrder.from_points(pts)
+    return circle_sort_key_refine(pts)
 
 
 def factor_order(factor: list) -> tuple:
@@ -239,10 +218,7 @@ def rational_split(s: list) -> List[Tuple[list, List[CirclePoint]]]:
     out.sort(key=lambda unit: factor_order(unit[0]))
     if ip.degree(rest) >= 1:
         form = BinForm.from_affine(ip.degree(rest), rest)
-        pts: List[CirclePoint] = []
-        for loc in ip.isolate_real_roots(rest):
-            assert loc.exact is None, "the quotient by every rational root has none left"
-            pts.append(AlgebraicPoint(form, loc.lo, loc.hi))
+        pts = [AlgebraicPoint(form, lo, hi) for lo, hi in ip.isolate_real_roots(rest)]
         out.append((rest, pts))
     return out
 

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .roots import (
-    INFINITY,
     CirclePoint,
     FinitePoint,
     circle_sort_key_refine,
@@ -38,7 +37,6 @@ from .roots import (
 )
 from .weierstrass import (
     FiberReport,
-    KodairaType,
     WeierstrassTriple,
     classify_fibers,
     discriminant,
@@ -62,21 +60,12 @@ class NotRealGeneric(Exception):
 
 @dataclass(frozen=True)
 class RealFiberType:
-    """Real type of a singular fiber: nodal with a sign, or anything else."""
+    """Real type of a nodal fiber: 'I1+' or 'I1-'."""
 
-    label: str  # 'I1+', 'I1-' or 'other'
-    kodaira: Optional[KodairaType] = None
-
-    @property
-    def is_nodal(self) -> bool:
-        return self.label in ("I1+", "I1-")
+    label: str
 
     def flipped(self) -> "RealFiberType":
-        if self.label == "I1+":
-            return I1_MINUS
-        if self.label == "I1-":
-            return I1_PLUS
-        return self
+        return I1_MINUS if self.label == "I1+" else I1_PLUS
 
     def __str__(self) -> str:
         return self.label
@@ -149,14 +138,11 @@ def arc_decomposition(t: WeierstrassTriple, reports: Optional[List[FiberReport]]
     if not points:
         raise NotRealGeneric([])
     types = tuple(_nodal_type_unchecked(t, c) for c in points)
-    delta = discriminant(t)
     n = len(points)
     arcs: List[Arc] = []
     for i, sample in enumerate(arc_samples(points)):
         j = (i + 1) % n
-        s = sign_at(delta, sample)
-        assert s != 0, "arc sample landed on a discriminant zero"
-        count = 2 if s < 0 else 1
+        count = smooth_fiber_components(t, sample)
         arcs.append(Arc(points[i], points[j], sample, count, types[i], types[j]))
     for i in range(n):
         if arcs[i].component_count == arcs[(i + 1) % n].component_count:
@@ -252,11 +238,6 @@ class RealTopologyReport:
     components: Tuple[str, ...]
     # None exactly when the surface has no real singular fiber
     arcs: Optional[ArcDecomposition]
-    # With no real singular fiber and Delta > 0 the count computed from
-    # signs is a single torus/Klein component; flagged because a real
-    # section forces two in the standard degeneration picture and the
-    # one-component reading deserves scrutiny downstream.
-    single_component_caveat: bool = False
 
     @property
     def no_real_singular_fibers(self) -> bool:
@@ -279,9 +260,8 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
         reports, _ = classify_fibers(t)
     orientable = t.k % 2 == 0
     if not any(r.is_real for r in reports):
-        s = sign_at(discriminant(t), _nonvanishing_sample(t))
-        assert s != 0
-        h0 = 1 if s > 0 else 2
+        # Delta has no real zero, so any real point samples the circle bundle
+        h0 = smooth_fiber_components(t, FinitePoint(Fraction(0)))
         label = "S1" if orientable else "V2"
         return RealTopologyReport(
             h0=h0,
@@ -291,7 +271,6 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
             orientable=orientable,
             components=tuple([label] * h0),
             arcs=None,
-            single_component_caveat=(h0 == 1),
         )
     dec = arc_decomposition(t, reports)
     h0 = 1 + dec.arc_plus
@@ -312,15 +291,6 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
         components=components,
         arcs=dec,
     )
-
-
-def _nonvanishing_sample(t: WeierstrassTriple) -> CirclePoint:
-    """Some real point where Delta does not vanish (Delta has no real zero here)."""
-    delta = discriminant(t)
-    for candidate in (FinitePoint(Fraction(0)), INFINITY, FinitePoint(Fraction(1))):
-        if sign_at(delta, candidate) != 0:
-            return candidate
-    raise AssertionError("discriminant vanishes at every probe point")
 
 
 def check_bounds(report: RealTopologyReport, k: int) -> BoundChecks:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .binform import BinForm
+from .oracle import OracleDisagreement, compare, oracle_topology
 from .roots import (
     AlgebraicPoint,
     CirclePoint,
@@ -113,31 +114,64 @@ def iterate_i0star(t: WeierstrassTriple, params_list: Sequence[Tuple]) -> Weiers
 
 
 # ---------------------------------------------------------------------------
-# verification of the I0* step
+# verification of the twist and of the I0* step
 
 
 @dataclass(frozen=True)
 class CheckItem:
     name: str
-    ok: bool
+    ok: Optional[bool]  # None when the check does not apply
     detail: str = ""
 
 
 @dataclass(frozen=True)
-class I0StarVerification:
+class Verification:
     checks: Tuple[CheckItem, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.failures()
 
     def failures(self) -> List[CheckItem]:
-        return [c for c in self.checks if not c.ok]
+        return [c for c in self.checks if c.ok is False]
+
+
+def verify_twist(t: WeierstrassTriple, t_twisted: WeierstrassTriple) -> Verification:
+    """Check the twist's contract on t_twisted, computed apart from twist.
+
+    - 4p'^3 + 27q'^2, built from the twisted p and q, equals Delta(t);
+    - twist duality on the oracle's topology of both sides:
+      h1' = 2 h0, 2 h0' = h1 and chi' = -chi.  It does not apply when
+      some real singular fiber is not nodal.
+    """
+    rebuilt = 4 * t_twisted.p ** 3 + 27 * t_twisted.q ** 2
+    checks = [
+        CheckItem(
+            "discriminant_unchanged",
+            rebuilt == discriminant(t),
+            "4p'^3 + 27q'^2 == Delta of the input",
+        )
+    ]
+    try:
+        before, after = oracle_topology(t), oracle_topology(t_twisted)
+    except NotRealGeneric as exc:
+        checks.append(CheckItem("twist_duality", None, str(exc)))
+    else:
+        checks.append(
+            CheckItem(
+                "twist_duality",
+                after.h1 == 2 * before.h0
+                and 2 * after.h0 == before.h1
+                and after.chi == -before.chi,
+                f"(h0, h1, chi): {before.triple()} -> {after.triple()}",
+            )
+        )
+    return Verification(tuple(checks))
 
 
 def verify_i0star(
     t: WeierstrassTriple, params: I0StarParams, t_y: WeierstrassTriple
-) -> I0StarVerification:
+) -> Verification:
     """Check every claimed property of the I0* step on actual fiber data.
 
     - the discriminant relation Delta_Y = (u-av)^6 (u-bv)^6 Delta holds
@@ -206,7 +240,7 @@ def verify_i0star(
     checks.append(
         CheckItem("real_type_flip_rule", flips_ok, "; ".join(flip_detail) or "all fibers")
     )
-    return I0StarVerification(tuple(checks))
+    return Verification(tuple(checks))
 
 
 def _report_at_rational(reports: Sequence[FiberReport], x: Fraction) -> Optional[FiberReport]:
@@ -261,15 +295,10 @@ def _strictly_between(c: CirclePoint, a: Fraction, b: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Search limits; results are deterministic in all three fields.
-
-    The guided family's root positions stay well inside the default
-    height bound; the field is an upper limit, not a tuning knob.
-    """
+    """Search limits; results are deterministic in both fields."""
 
     max_candidates: int = 64
     rng_seed: int = 0
-    coefficient_height_bound: int = 1000
 
 
 @dataclass(frozen=True)
@@ -415,8 +444,6 @@ def _build_candidate(
 def _verify_candidate(
     cand: WeierstrassTriple, k_target: int, h0_target: int
 ) -> Optional[Tuple[WeierstrassTriple, RealTopologyReport]]:
-    from .oracle import OracleDisagreement, compare
-
     try:
         reports, _ = classify_fibers(cand)
         report = betti(cand, reports)

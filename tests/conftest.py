@@ -6,6 +6,19 @@ U = BinForm.make(1, [0, 1])
 V = BinForm.make(1, [1, 0])
 
 
+def poly_mul(f, g):
+    """Product of two integer polynomials given as ascending coefficient lists."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def interlace_sextic():
     """(u^2 - v^2)(u^2 - 4v^2)(u^2 - 9v^2): six rational roots +-1, +-2, +-3."""
     return (U * U - V * V) * (U * U - 4 * V * V) * (U * U - 9 * V * V)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ellsurf import BinForm, FormDegreeError, form_gcd, squarefree_part
 from ellsurf import _intpoly as ip
 
-from conftest import U, V, interlace_sextic
+from conftest import U, V, interlace_sextic, poly_mul
 
 
 class TestArithmetic:
@@ -93,7 +93,7 @@ class TestGcdSquarefree:
         prod = [1]
         for comp, m in ip.yun_decomposition(f.affine_int()):
             for _ in range(m):
-                prod = ip.mul(prod, comp)
+                prod = poly_mul(prod, comp)
         # f(u, 1) = prod g_i^i up to a rational scalar
         assert len(prod) == len(f.affine())
         ratio = None

@@ -15,6 +15,8 @@ from ellsurf.documents import dump_json, triple_to_document
 
 from conftest import U, V
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
 
 @pytest.fixture()
 def runner():
@@ -108,13 +110,17 @@ class TestReportCommand:
         assert "real_topology" in doc and "refused" in doc["real_topology"]
         assert len(doc["fibers"]) == 2
 
-    def test_bundle_caveat(self, runner, tmp_path):
+    def test_bundle_has_no_caveat(self, runner, tmp_path):
+        # Delta > 0 on the whole circle: one component, which the oracle confirms
         t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
         path = _write(tmp_path, "bundle.json", triple_to_document(t))
         result = runner.invoke(main, ["report", path, "--json"])
         doc = json.loads(result.output)
         assert doc["topology"]["no_real_singular_fibers"]
-        assert "caveat" in doc["topology"]
+        assert doc["topology"]["components"] == ["V2"]
+        assert "caveat" not in doc["topology"]
+        text = runner.invoke(main, ["report", path]).output
+        assert "caveat" not in text and "h0=1 h1=2" in text
 
     def test_deterministic_bytes(self, runner, w1_file):
         a = runner.invoke(main, ["report", w1_file, "--json"]).output
@@ -122,17 +128,21 @@ class TestReportCommand:
         assert a == b
 
     def test_report_and_compare_never_import_sympy(self, w1_file):
-        # classification factors nothing, so only normalize loads sympy
+        # classification factors nothing, so only normalize loads sympy;
+        # the twist's verifier does not normalize either
         script = (
             "import sys\n"
             "from ellsurf.cli import main\n"
             "from ellsurf.documents import load_triple\n"
             "from ellsurf.oracle import compare\n"
             f"path = {w1_file!r}\n"
-            "try:\n"
-            "    main.main(['report', path, '--json'], standalone_mode=False)\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code\n"
+            "report = ['report', path, '--json']\n"
+            "verify = ['transform', path, '--twist', '--verify']\n"
+            "for args in (report, verify):\n"
+            "    try:\n"
+            "        main.main(args, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert not exc.code\n"
             "compare(load_triple(path))\n"
             "print('sympy' in sys.modules, file=sys.stderr)\n"
         )
@@ -157,6 +167,39 @@ class TestTransformCommand:
         from ellsurf.documents import load_triple
 
         assert load_triple(twice) == normalize(w1)
+
+    def test_twist_verify_prints_each_check(self, runner, w1_file):
+        result = runner.invoke(main, ["transform", w1_file, "--twist", "--verify"])
+        assert result.exit_code == 0, result.output
+        assert "  discriminant_unchanged: ok\n" in result.output
+        assert "  twist_duality: ok\n" in result.output
+
+    def test_twist_verify_rejects_a_wrong_twist(self, runner, monkeypatch):
+        import ellsurf.cli
+
+        monkeypatch.setattr(ellsurf.cli, "twist", lambda t: t)
+        result = runner.invoke(main, ["transform", EXTREMAL, "--twist", "--verify"])
+        assert result.exit_code == 1, result.output
+        assert "twist_duality: VIOLATED" in result.output
+
+    def test_twist_verify_never_normalizes(self, runner, monkeypatch):
+        import ellsurf.cli
+        import ellsurf.weierstrass
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the twist's verdict must not factor contents")
+
+        monkeypatch.setattr(ellsurf.weierstrass, "normalize", refuse)
+        monkeypatch.setattr(ellsurf.cli, "normalize", refuse, raising=False)
+        result = runner.invoke(main, ["transform", EXTREMAL, "--twist", "--verify"])
+        assert result.exit_code == 0, result.output
+
+    def test_twist_verify_duality_not_applicable(self, runner):
+        path = str(GOLDEN / "istar-refusal.triple.json")
+        result = runner.invoke(main, ["transform", path, "--twist", "--verify"])
+        assert result.exit_code == 0, result.output
+        assert "  discriminant_unchanged: ok\n" in result.output
+        assert "  twist_duality: not applicable: non-nodal" in result.output
 
     def test_i0star_with_verify(self, runner, w1_file):
         result = runner.invoke(

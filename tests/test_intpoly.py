@@ -3,11 +3,14 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsurf import _intpoly as ip
+
+from conftest import poly_mul
 
 X = sympy.Symbol("x")
 
@@ -45,7 +48,7 @@ def _primitive_positive(coeffs) -> list:
 @given(nonzero, polys, polys)
 @settings(max_examples=150, deadline=None)
 def test_gcd_matches_sympy(a, b, c):
-    f, g = ip.mul(a, b), ip.mul(a, c)
+    f, g = poly_mul(a, b), poly_mul(a, c)
     expected = _rationals(_poly(f).gcd(_poly(g)))
     assert ip.gcd(f, g) == _primitive_positive(expected)
 
@@ -53,7 +56,7 @@ def test_gcd_matches_sympy(a, b, c):
 @given(polys, nonzero, polys)
 @settings(max_examples=150, deadline=None)
 def test_try_div_exact_matches_sympy(a, b, c):
-    for f in (ip.mul(a, b), ip.add(ip.mul(a, b), c)):
+    for f in (poly_mul(a, b), ip.add(poly_mul(a, b), c)):
         q, r = _poly(f, "QQ").div(_poly(b, "QQ"))
         got = ip.try_div_exact(f, b)
         if not r.is_zero:
@@ -69,7 +72,7 @@ def test_try_div_exact_matches_sympy(a, b, c):
 @given(nonconstant, polys)
 @settings(max_examples=150, deadline=None)
 def test_sturm_chain_entries_are_positive_multiples_of_sympy(a, b):
-    f = ip.mul(a, ip.mul(b, b)) if b else a
+    f = poly_mul(a, poly_mul(b, b)) if b else a
     ours = ip.sturm_chain(f)
     theirs = [_rationals(s) for s in sympy.sturm(_poly(f, "QQ"))]
     assert len(ours) == len(theirs)
@@ -105,7 +108,7 @@ rational_roots_drawn = st.lists(
 def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zero):
     f = cofactor[:-1] + [cofactor[-1] * lead]
     for r in roots + ([Fraction(0)] if at_zero else []):
-        f = ip.mul(f, [-r.numerator, r.denominator])
+        f = poly_mul(f, [-r.numerator, r.denominator])
     s = ip.squarefree_part(f)
     _, factors = _poly(s).factor_list()
     expected = sorted(
@@ -116,5 +119,28 @@ def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zer
     assert roots == expected
     product = [1]
     for r in roots:
-        product = ip.mul(product, [-r.numerator, r.denominator])
-    assert _poly(ip.mul(product, rest)) == _poly(ip.monic_sign(s))
+        product = poly_mul(product, [-r.numerator, r.denominator])
+    assert _poly(poly_mul(product, rest)) == _poly(ip.monic_sign(s))
+
+
+def test_isolation_refuses_a_rational_root():
+    # (x^2 - 1)(x^2 - 2): bisecting (-4, 4) reaches the root -1 as a midpoint
+    with pytest.raises(ValueError):
+        ip.isolate_real_roots([2, 0, -3, 0, 1])
+
+
+@given(rational_roots_drawn, st.lists(st.integers(-30, 30), min_size=1, max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_isolation_of_the_rest_matches_sympy(roots, cofactor):
+    f = ip.strip(cofactor) or [1]
+    for r in roots:
+        f = poly_mul(f, [-r.numerator, r.denominator])
+    _, rest = ip.rational_roots(ip.squarefree_part(f))
+    intervals = ip.isolate_real_roots(rest)
+    assert len(intervals) == _poly(rest).count_roots()
+    chain = ip.sturm_chain(rest)
+    for lo, hi in intervals:
+        assert lo < hi
+        assert ip.eval_sign(rest, lo) * ip.eval_sign(rest, hi) == -1
+        assert ip.sturm_count(chain, lo, hi) == 1
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))

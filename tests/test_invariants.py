@@ -41,7 +41,7 @@ class TestDiscriminantBookkeeping:
         sq = ip.squarefree_part(delta.affine_int())
         chain = ip.sturm_chain(sq)
         order = isolate_real_roots(delta)
-        finite_pts = [p for p in order.points if hasattr(p, "lo") or hasattr(p, "value")]
+        finite_pts = [p for p in order if hasattr(p, "lo") or hasattr(p, "value")]
         intervals = []
         for p in finite_pts:
             if hasattr(p, "lo"):

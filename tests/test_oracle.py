@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ellsurf import (
     INFINITY,
@@ -180,3 +181,46 @@ class TestAgreement:
             except NotRealGeneric:
                 continue
             seen += 1
+
+
+class TestSampleSlices:
+    """Smooth slices against sympy's count of real roots of the fiber cubic."""
+
+    @staticmethod
+    def _distinct_real_roots(t, point):
+        x = sympy.Symbol("x")
+        values = []
+        for form in (t.p, t.q):
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in form.coeffs]
+            if point == INFINITY:
+                values.append(coeffs[-1])
+            else:
+                u = sympy.Rational(point.value.numerator, point.value.denominator)
+                values.append(sum(c * u ** i for i, c in enumerate(coeffs)))
+        cubic = sympy.Poly(x ** 3 + values[0] * x + values[1], x)
+        return cubic.sqf_part().count_roots()
+
+    def test_components_follow_the_cubic(self, w1):
+        w = U * U + V * V
+        surfaces = [w1, validate(1, -(w ** 2), Fraction(1, 3) * w ** 3)]
+        rng = random.Random(46)
+        for k in (1, 2, 3):
+            found = 0
+            while found < 3:
+                t = random_valid_triple(rng, k)
+                try:
+                    oracle_topology(t)
+                except NotRealGeneric:
+                    continue
+                surfaces.append(t)
+                found += 1
+        samples = 0
+        for t in surfaces:
+            for s in oracle_topology(t).slices:
+                if s.kind != "sample":
+                    continue
+                roots = self._distinct_real_roots(t, s.point)
+                assert roots in (1, 3)
+                assert len(s.comps) == (2 if roots == 3 else 1), (t, s)
+                samples += 1
+        assert samples >= 2 * len(surfaces)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,13 @@ from ellsurf import (
     valuation_at,
 )
 from ellsurf import _intpoly as ip
-from ellsurf.roots import compare_finite, points_equal, sample_between
+from ellsurf.roots import (
+    FinitePoint,
+    circle_sort_key_refine,
+    compare_finite,
+    points_equal,
+    sample_between,
+)
 
 from conftest import U, V, interlace_sextic
 
@@ -43,7 +50,7 @@ class TestIsolation:
     def test_irrational_roots_isolated(self):
         order = isolate_real_roots(U * U - 2 * V * V)
         assert len(order) == 2
-        for p in order.points:
+        for p in order:
             assert isinstance(p, AlgebraicPoint)
 
     def test_multiplicities_collapsed(self):
@@ -243,3 +250,52 @@ class TestCompare:
         assert not points_equal(INFINITY, finite(0))
         other = AlgebraicPoint(U * U - 2 * V * V, Fraction(5, 4), Fraction(3, 2))
         assert points_equal(sqrt2_point(), other)
+
+
+class TestCircleOrder:
+    """Points on coprime forms whose starting intervals all overlap in (1, 2)."""
+
+    @staticmethod
+    def _points():
+        r = sympy.Rational
+        return [
+            (AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(2)),
+            (AlgebraicPoint(U * U - 3 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(3)),
+            (AlgebraicPoint(2 * U * U - 5 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(r(5, 2))),
+            (finite(Fraction(7, 5)), r(7, 5)),
+            (finite(Fraction(3, 2)), r(3, 2)),
+            (INFINITY, sympy.oo),
+        ]
+
+    @staticmethod
+    def _key(p):
+        return p.defining if isinstance(p, AlgebraicPoint) else p
+
+    def test_matches_sympy_exact_order(self):
+        points = self._points()
+        expected = [self._key(p) for p, _ in sorted(points, key=lambda pv: pv[1])]
+        rng = random.Random(14)
+        for _ in range(8):
+            rng.shuffle(points)
+            order = circle_sort_key_refine([p for p, _ in points])
+            assert [self._key(p) for p in order] == expected
+            finite_pts = order[:-1]
+            for a, b in zip(finite_pts, finite_pts[1:]):
+                assert compare_finite(a, b) == -1
+            for p in finite_pts:
+                if isinstance(p, AlgebraicPoint):
+                    assert not any(
+                        p.lo <= q.value <= p.hi for q in finite_pts if isinstance(q, FinitePoint)
+                    )
+
+    def test_repeated_finite_point_raises(self):
+        with pytest.raises(ValueError):
+            circle_sort_key_refine([finite(1), sqrt2_point(), finite(1)])
+
+    def test_root_shared_by_two_forms_raises(self):
+        # sqrt(2) once on u^2 - 2v^2 and once on (u^2 - 2v^2)(u^2 - 3v^2)
+        shared = AlgebraicPoint(
+            (U * U - 2 * V * V) * (U * U - 3 * V * V), Fraction(13, 10), Fraction(3, 2)
+        )
+        with pytest.raises(ValueError):
+            circle_sort_key_refine([sqrt2_point(), finite(0), shared])

@@ -12,6 +12,7 @@ from ellsurf import (
     arc_decomposition,
     betti,
     check_bounds,
+    compare,
     finite,
     real_type_of_nodal,
     smooth_fiber_components,
@@ -119,7 +120,8 @@ class TestBetti:
         rep = betti(t)
         assert (rep.h0, rep.h1) == (1, 2)
         assert rep.components == ("V2",)
-        assert rep.no_real_singular_fibers and rep.single_component_caveat
+        assert rep.no_real_singular_fibers
+        assert compare(t).oracle.triple() == (rep.h0, rep.h1, rep.chi_top)
 
     def test_no_real_singular_negative_delta_two_components(self):
         w = U * U + V * V
@@ -127,7 +129,6 @@ class TestBetti:
         rep = betti(t)
         assert (rep.h0, rep.h1) == (2, 4)
         assert rep.components == ("V2", "V2")
-        assert not rep.single_component_caveat
 
     def test_k2_orientable_labels(self):
         # k = 2 surface with no real singular fibers: tori

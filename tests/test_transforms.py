@@ -20,11 +20,16 @@ from ellsurf import (
     normalize,
     search_extremal,
     twist,
+    validate,
     verify_i0star,
+    verify_twist,
 )
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import compare, oracle_topology
 from ellsurf.topology import I1_MINUS, I1_PLUS, arc_decomposition
+from ellsurf.weierstrass import WeierstrassTriple
+
+from conftest import U, V
 
 
 
@@ -69,6 +74,18 @@ class TestTwist:
                 continue
             assert (dec2.n_plus, dec2.n_minus) == (dec.n_minus, dec.n_plus)
             seen += 1
+
+
+class TestVerifyTwist:
+    def test_discriminant_is_rebuilt_not_read(self):
+        # a wrong q that carries the input's Delta, as twist hands it on;
+        # both sides are circle bundles with one component, so only the
+        # rebuilt discriminant can tell
+        t = validate(1, BinForm.zero(4), U ** 6 + V ** 6)
+        bad = WeierstrassTriple(t.k, t.p, 2 * t.q)
+        bad.__dict__["delta"] = t.delta
+        ver = verify_twist(t, bad)
+        assert [c.name for c in ver.failures()] == ["discriminant_unchanged"]
 
 
 class TestI0StarParams:
