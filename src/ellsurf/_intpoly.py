@@ -9,17 +9,28 @@ exact divisibility matter here.
 This module is the exact kernel underneath the binary-form layer: gcd
 and squarefree decomposition, rational roots by p-adic lifting, Sturm
 chains with exact rational endpoints, and bisection-based real root
-isolation.  Nothing is ever factored into irreducibles.  Division is
-fraction-free: one integer pseudo-division with a positive multiplier
-(Collins; Brown & Traub) serves gcds, Sturm chains and exact quotients,
-and since every rescaling is by a positive integer the primitive
-remainders and the quotients equal those of division over Q.  No
-floating point anywhere.
+isolation.  Nothing is ever factored into irreducibles.  No floating
+point anywhere.
+
+gcd is heuristic first (GCDHEU; Char, Geddes & Gonnet 1989): the
+integer gcd of the values at a large integer xi is read back as a
+polynomial from its symmetric xi-adic digits, and the candidate is
+kept only when it divides both inputs exactly, which for xi above
+2 min(|f|, |g|) + 2 proves it is the gcd.  After a few failed xi the
+primitive pseudo-remainder sequence (prs_gcd) decides.  Division is
+fraction-free: exact division by a primitive divisor is integer long
+division that stops at the first inexact step, and otherwise one
+integer pseudo-division with a positive multiplier (Collins; Brown &
+Traub) serves the remainder sequences, Sturm chains and exact
+quotients.  Every rescaling is by a positive integer, so the primitive
+remainders and the quotients equal those of division over Q.
 
 Isolation takes what rational_roots leaves: squarefree, primitive,
 lc > 0 and without a rational root.  Every root it meets is therefore
 irrational and comes back as an open interval; a rational root hit
-during bisection is a broken contract and raises ValueError.
+during bisection is a broken contract and raises ValueError.  The
+bisection carries the Sturm sign variations at both ends of each
+interval down the tree, so each midpoint is evaluated once.
 """
 
 from __future__ import annotations
@@ -60,6 +71,17 @@ def neg(f: IntPoly) -> IntPoly:
 
 def sub(f: IntPoly, g: IntPoly) -> IntPoly:
     return add(f, neg(g))
+
+
+def mul(f: IntPoly, g: IntPoly) -> IntPoly:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def derivative(f: IntPoly) -> IntPoly:
@@ -103,11 +125,11 @@ def from_fractions(coeffs: Sequence[Fraction]) -> IntPoly:
     return strip([int(x * den) for x in c])
 
 
-def eval_int_sign(f: IntPoly, num: int, den: int) -> int:
-    """Sign of f(num/den) with den > 0, computed in integers.
+def eval_hom(f: IntPoly, num: int, den: int) -> int:
+    """den^deg(f) * f(num/den) = sum_i c_i num^i den^(d-i), an integer.
 
-    Uses den^deg(f) * f(num/den) = sum_i c_i num^i den^(d-i), Horner-style
-    with one factor of den folded in per step.
+    Horner-style with one factor of den folded in per step; 0 for the
+    zero polynomial.
     """
     if not f:
         return 0
@@ -116,6 +138,12 @@ def eval_int_sign(f: IntPoly, num: int, den: int) -> int:
     for c in reversed(f[:-1]):
         dp *= den
         total = total * num + c * dp
+    return total
+
+
+def eval_int_sign(f: IntPoly, num: int, den: int) -> int:
+    """Sign of f(num/den) with den > 0, computed in integers."""
+    total = eval_hom(f, num, den)
     return (total > 0) - (total < 0)
 
 
@@ -154,6 +182,34 @@ def _pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple:
     return q, strip(r), a ** n
 
 
+def _div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
+    """f / g in Z[x] for primitive g, or None when g does not divide f.
+
+    By Gauss's lemma a primitive g divides f over Q exactly when the
+    quotient is integral, so long division with integer quotients
+    decides it and stops at the first leading coefficient that lc g
+    does not divide.
+    """
+    n = len(f) - len(g) + 1
+    if n <= 0:
+        return None if f else []
+    lc = g[-1]
+    dg = len(g) - 1
+    r = list(f)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        t, m = divmod(r[k + dg], lc)
+        if m:
+            return None
+        if t:
+            q[k] = t
+            for i in range(dg):
+                r[k + i] -= t * g[i]
+    if any(r[:dg]):
+        return None
+    return q
+
+
 def try_div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
     """f / g when g divides f exactly over Q, with denominators cleared, else None.
 
@@ -164,6 +220,8 @@ def try_div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
         raise ZeroDivisionError("polynomial division by zero")
     if not f:
         return []
+    if content(g) == 1:
+        return _div_exact(f, g)
     q, r, c = _pseudo_divmod(f, g)
     if r:
         return None
@@ -172,7 +230,53 @@ def try_div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
 
 
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient."""
+    """Primitive gcd with positive leading coefficient.
+
+    GCDHEU decides it in all but rare cases; prs_gcd decides the rest.
+    """
+    a, b = monic_sign(f), monic_sign(g)
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    h = _heu_gcd(a, b)
+    return prs_gcd(a, b) if h is None else h
+
+
+# failed evaluation points before gcd falls back to prs_gcd
+_HEU_GCD_TRIES = 6
+
+
+def _heu_gcd(a: IntPoly, b: IntPoly) -> Optional[IntPoly]:
+    """gcd of a and b (primitive, lc > 0, degree >= 1) from integer gcds, or None.
+
+    The integer gcd of a(xi) and b(xi) is written in symmetric xi-adic
+    digits, which are the coefficients of a candidate; its primitive
+    part is the gcd exactly when it divides both a and b, provided
+    xi >= 2 min(|a|, |b|) + 2 (max norms).  A failed xi grows by a
+    factor of about 2.7 xi^(1/4), as in sympy's dup_zz_heu_gcd.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_GCD_TRIES):
+        va, vb = eval_hom(a, xi, 1), eval_hom(b, xi, 1)
+        if va and vb:
+            gamma = int_gcd(va, vb)
+            h = []
+            while gamma:
+                d = gamma % xi
+                if d > xi // 2:
+                    d -= xi
+                h.append(d)
+                gamma = (gamma - d) // xi
+            h = monic_sign(h)
+            if len(h) == 1 or (_div_exact(a, h) is not None and _div_exact(b, h) is not None):
+                return h
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd with lc > 0 by primitive pseudo-remainders; gcd's fallback."""
     a, b = monic_sign(f), monic_sign(g)
     while b:
         a, b = b, monic_sign(_pseudo_divmod(a, b)[1])
@@ -329,20 +433,18 @@ def _sign_variations(signs: Sequence[int]) -> int:
     return changes
 
 
-def _variations_at(chain: Sequence[IntPoly], x: Optional[Fraction], at_pos_inf: bool) -> int:
+def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
+    """Sign variations of a Sturm chain at the rational x."""
+    return _sign_variations([eval_sign(p, x) for p in chain])
+
+
+def _variations_at_infinity(chain: Sequence[IntPoly], positive: bool) -> int:
     signs = []
     for p in chain:
-        if x is not None:
-            signs.append(eval_sign(p, x))
-        elif not p:
-            signs.append(0)
-        elif at_pos_inf:
-            signs.append(1 if p[-1] > 0 else -1)
-        else:
-            s = 1 if p[-1] > 0 else -1
-            if (len(p) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
+        s = 1 if p[-1] > 0 else -1
+        if not positive and (len(p) - 1) % 2 == 1:
+            s = -s
+        signs.append(s)
     return _sign_variations(signs)
 
 
@@ -353,8 +455,8 @@ def sturm_count(chain: Sequence[IntPoly], lo: Optional[Fraction], hi: Optional[F
     from sturm_chain (squarefree base), so roots are counted without
     multiplicity.
     """
-    va = _variations_at(chain, lo, at_pos_inf=False)
-    vb = _variations_at(chain, hi, at_pos_inf=True)
+    va = _variations_at_infinity(chain, False) if lo is None else variations_at(chain, lo)
+    vb = _variations_at_infinity(chain, True) if hi is None else variations_at(chain, hi)
     return va - vb
 
 
@@ -383,36 +485,39 @@ def isolate_real_roots(s: IntPoly) -> list:
     b = cauchy_bound(s)
     chain = _sturm_chain_sqf(s)
     out: list = []
-    _bisect(s, chain, -b, b, sturm_count(chain, -b, b), out)
+    _bisect(chain, -b, b, variations_at(chain, -b), variations_at(chain, b), out)
     return out
 
 
-def _bisect(s: IntPoly, chain, lo: Fraction, hi: Fraction, count: int, out: list) -> None:
+def _bisect(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int, out: list) -> None:
+    """Isolate the roots in (lo, hi], given the chain's sign variations at both ends."""
+    count = v_lo - v_hi
     if count == 0:
         return
     if count == 1:
         out.append((lo, hi))
         return
     mid = (lo + hi) / 2
-    if eval_sign(s, mid) == 0:
+    signs = [eval_sign(p, mid) for p in chain]
+    if signs[0] == 0:
         raise ValueError(f"rational root {mid}: divide the rational roots out first")
-    left = sturm_count(chain, lo, mid)
-    _bisect(s, chain, lo, mid, left, out)
-    _bisect(s, chain, mid, hi, count - left, out)
+    v_mid = _sign_variations(signs)
+    _bisect(chain, lo, mid, v_lo, v_mid, out)
+    _bisect(chain, mid, hi, v_mid, v_hi, out)
 
 
 def refine_interval(s: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     """One bisection step on an isolating interval of squarefree s.
 
-    The interval must contain exactly one root of s, with non-root
-    endpoints; both properties are preserved.
+    The interval must contain exactly one root of s, irrational, with
+    non-root endpoints; both properties are preserved.  A midpoint that
+    is a root breaks the contract and raises ValueError, as in
+    isolate_real_roots.
     """
     mid = (lo + hi) / 2
     sm = eval_sign(s, mid)
     if sm == 0:
-        # the unique root is exactly mid; shrink symmetrically around it
-        w = (hi - lo) / 4
-        return (mid - w, mid + w)
+        raise ValueError(f"rational root {mid} inside the isolating interval")
     if eval_sign(s, lo) * sm < 0:
         return (lo, mid)
     return (mid, hi)

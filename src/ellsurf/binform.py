@@ -10,6 +10,7 @@ the order of vanishing at infinity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -62,6 +63,12 @@ class BinForm:
         return BinForm(degree, tuple(a))
 
     @staticmethod
+    def from_scaled(degree: int, affine: Sequence[int], den: int) -> "BinForm":
+        """The form of the given degree whose f(u, 1) is the integer affine / den."""
+        pad = [0] * (degree + 1 - len(affine))
+        return BinForm(degree, tuple(Fraction(c, den) for c in list(affine) + pad))
+
+    @staticmethod
     def monomial(degree: int, i: int, c: Scalar = 1) -> "BinForm":
         """c * u^i v^(degree - i)."""
         coeffs = [Fraction(0)] * (degree + 1)
@@ -89,24 +96,43 @@ class BinForm:
             a.pop()
         return a
 
+    @functools.cached_property
+    def scaled(self) -> Tuple[list, int]:
+        """(a, den) with f(u, 1) = a(u) / den, a integer and stripped.
+
+        den is the lcm of the coefficient denominators.
+        """
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return ip.strip([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+
     def affine_int(self) -> list:
-        """Primitive integer version of f(u, 1); signs preserved."""
-        return ip.from_fractions(self.coeffs)
+        """f(u, 1) with denominators cleared by their lcm; signs preserved.
+
+        Built once per form and shared by every caller: do not mutate it.
+        """
+        return self.scaled[0]
+
+    @functools.cached_property
+    def sturm_chain(self) -> list:
+        """Sturm chain of the squarefree part of f(u, 1); empty when that is constant."""
+        a = self.affine_int()
+        return ip.sturm_chain(a) if ip.degree(a) >= 1 else []
 
     def v_order_at_infinity(self) -> int:
         """Multiplicity of (1:0) as a root, i.e. degree minus affine degree."""
         if self.is_zero:
             raise ValueError("zero form has no well-defined vanishing order")
-        return self.degree - (len(self.affine()) - 1)
+        return self.degree - ip.degree(self.affine_int())
 
     def evaluate(self, u: Scalar, v: Scalar = 1) -> Fraction:
         u = Fraction(u)
         v = Fraction(v)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * u ** i * v ** (self.degree - i)
-        return total
+        a, den = self.scaled
+        # with x = u.num * v.den and y = v.num * u.den,
+        # f(u, v) = sum_i a_i x^i y^(d-i) / (den * (u.den * v.den)^d)
+        y = v.numerator * u.denominator
+        total = ip.eval_hom(a, u.numerator * v.denominator, y) * y ** (self.degree - ip.degree(a))
+        return Fraction(total, den * (u.denominator * v.denominator) ** self.degree)
 
     def value_at_infinity(self) -> Fraction:
         """f(1, 0), the chart-2 value at the point at infinity."""
@@ -133,19 +159,9 @@ class BinForm:
 
     def __mul__(self, other):
         if isinstance(other, BinForm):
-            # integer numerators over one common denominator per factor
-            da = lcm(*(c.denominator for c in self.coeffs))
-            db = lcm(*(c.denominator for c in other.coeffs))
-            bs = [int(c * db) for c in other.coeffs]
-            out = [0] * (self.degree + other.degree + 1)
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                a = int(c * da)
-                for j, b in enumerate(bs):
-                    out[i + j] += a * b
-            den = da * db
-            return BinForm(len(out) - 1, tuple(Fraction(x, den) for x in out))
+            a, da = self.scaled
+            b, db = other.scaled
+            return BinForm.from_scaled(self.degree + other.degree, ip.mul(a, b), da * db)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return BinForm(self.degree, tuple(a * c for a in self.coeffs))
@@ -195,15 +211,9 @@ class BinForm:
         """
         if self.is_zero:
             raise ValueError("zero form has no content")
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // ip.int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = ip.int_gcd(g, c)
-        prim = BinForm(self.degree, tuple(Fraction(c, g) for c in ints))
-        return Fraction(g, den), prim
+        a, den = self.scaled
+        g = ip.content(a)
+        return Fraction(g, den), BinForm.from_scaled(self.degree, [c // g for c in a], 1)
 
     def primitive(self) -> "BinForm":
         return self.content_and_primitive()[1]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm, form_gcd, squarefree_part
+from .binform import BinForm, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,14 @@ class AlgebraicPoint:
         return AlgebraicPoint(self.defining, lo, hi)
 
     def excluding(self, x: Fraction) -> "AlgebraicPoint":
-        """Refine until the rational x lies outside [lo, hi]."""
+        """Refine until the rational x lies outside [lo, hi].
+
+        A root x of the defining form in [lo, hi] breaks the contract
+        (no refinement can exclude it) and raises ValueError.
+        """
         pt = self
+        if pt.lo <= x <= pt.hi and self.defining.evaluate(x) == 0:
+            raise ValueError(f"{x} is a rational root of {self.defining} in the interval")
         while pt.lo <= x <= pt.hi:
             pt = pt.refined()
         return pt
@@ -99,11 +105,18 @@ def points_equal(a: CirclePoint, b: CirclePoint) -> bool:
     hi = min(a.hi, b.hi)
     if not lo < hi:
         return False
-    g = form_gcd(a.defining, b.defining)
-    ga = g.affine_int()
-    if ip.degree(ga) < 1:
-        return False
-    return ip.count_real_roots(ga, lo, hi) >= 1
+    return _divisor_vanishes_in(ip.gcd(a.defining.affine_int(), b.defining.affine_int()), lo, hi)
+
+
+def _divisor_vanishes_in(f: list, lo: Fraction, hi: Fraction) -> bool:
+    """Whether f has a root in (lo, hi).
+
+    f must divide a defining form whose isolating interval contains
+    (lo, hi), and lo and hi must not be roots of that form.  f then has
+    at most one root there, a simple one, and none at the ends, so it
+    has one exactly when it changes sign.
+    """
+    return ip.degree(f) >= 1 and ip.eval_sign(f, lo) != ip.eval_sign(f, hi)
 
 
 def compare_finite(a: CirclePoint, b: CirclePoint) -> int:
@@ -238,18 +251,24 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
         val = g.value_at_infinity()
         return (val > 0) - (val < 0)
     assert isinstance(c, AlgebraicPoint)
-    common = form_gcd(g, c.defining).affine_int()
-    if ip.degree(common) >= 1 and ip.count_real_roots(common, c.lo, c.hi) >= 1:
-        return 0
-    # g has no root at c; shrink until it has none in the whole interval,
-    # then the sign is constant there
+    # with no root of g in (lo, hi] the sign is constant on the interval;
+    # otherwise either g vanishes at c, or refining c leaves its roots
+    # out.  Each refinement keeps one end, whose sign variations carry.
     ga = g.affine_int()
-    chain = ip.sturm_chain(ga) if ip.degree(ga) >= 1 else None
-    pt = c
-    while chain is not None and ip.sturm_count(chain, pt.lo, pt.hi) > 0:
-        pt = pt.refined()
-    mid = Fraction(pt.lo + pt.hi, 2)
-    return ip.eval_sign(ga, mid)
+    chain = g.sturm_chain
+    lo, hi = c.lo, c.hi
+    if chain:
+        v_lo, v_hi = ip.variations_at(chain, lo), ip.variations_at(chain, hi)
+        if v_lo > v_hi and _divisor_vanishes_in(ip.gcd(ga, c.defining.affine_int()), lo, hi):
+            return 0
+        s = c.defining.affine_int()
+        while v_lo > v_hi:
+            new_lo, hi = ip.refine_interval(s, lo, hi)
+            if new_lo == lo:
+                v_hi = ip.variations_at(chain, hi)
+            else:
+                lo, v_lo = new_lo, ip.variations_at(chain, new_lo)
+    return ip.eval_sign(ga, (lo + hi) / 2)
 
 
 def valuation_at(g: BinForm, c: CirclePoint) -> int:
@@ -265,8 +284,7 @@ def valuation_at(g: BinForm, c: CirclePoint) -> int:
         return ip.multiplicity_of_factor(ga, lin)
     assert isinstance(c, AlgebraicPoint)
     for comp, mult in ip.yun_decomposition(g.affine_int()):
-        common = ip.gcd(comp, c.defining.affine_int())
-        if ip.degree(common) >= 1 and ip.count_real_roots(common, c.lo, c.hi) >= 1:
+        if _divisor_vanishes_in(ip.gcd(comp, c.defining.affine_int()), c.lo, c.hi):
             return mult
     return 0
 

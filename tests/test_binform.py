@@ -151,6 +151,20 @@ class TestProperties:
             assert ip.try_div_exact(h.affine_int(), d.affine_int()) is not None
             assert d.v_order_at_infinity() <= h.v_order_at_infinity()
 
+    @given(forms(), forms())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_matches_fraction_convolution(self, f, g):
+        product = poly_mul(list(f.coeffs), list(g.coeffs))
+        product += [Fraction(0)] * (f.degree + g.degree + 1 - len(product))
+        assert (f * g).coeffs == tuple(product)
+
+    @given(forms(max_degree=6), small_frac, small_frac)
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_matches_fraction_sum(self, f, u, v):
+        expected = sum(c * u ** i * v ** (f.degree - i) for i, c in enumerate(f.coeffs))
+        assert f.evaluate(u, v) == expected
+        assert f.evaluate(u) == f.evaluate(u, 1)
+
     @given(forms())
     @settings(max_examples=40, deadline=None)
     def test_squarefree_part_is_squarefree(self, f):

@@ -45,12 +45,55 @@ def _primitive_positive(coeffs) -> list:
     return [c // g for c in ints]
 
 
-@given(nonzero, polys, polys)
-@settings(max_examples=150, deadline=None)
-def test_gcd_matches_sympy(a, b, c):
+def _coefficients(bound, max_size):
+    return st.lists(st.integers(-bound, bound), min_size=1, max_size=max_size).map(ip.strip)
+
+
+# (a, b, c) for gcd(a b, a c): small cases with zeros and constants, and
+# degrees up to 24 with coefficients up to about 10^30
+gcd_cases = st.one_of(
+    st.tuples(nonzero, polys, polys),
+    st.tuples(
+        _coefficients(10 ** 10, 9).filter(bool),
+        _coefficients(10 ** 20, 17),
+        _coefficients(10 ** 20, 17),
+    ),
+)
+
+
+def _check_gcd_against_sympy(gcd, case):
+    a, b, c = case
     f, g = poly_mul(a, b), poly_mul(a, c)
     expected = _rationals(_poly(f).gcd(_poly(g)))
-    assert ip.gcd(f, g) == _primitive_positive(expected)
+    assert gcd(f, g) == _primitive_positive(expected)
+
+
+@given(gcd_cases)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_sympy(case):
+    _check_gcd_against_sympy(ip.gcd, case)
+
+
+@given(gcd_cases)
+@settings(max_examples=100, deadline=None)
+def test_prs_gcd_fallback_matches_sympy(case):
+    _check_gcd_against_sympy(ip.prs_gcd, case)
+
+
+def test_heuristic_gcd_decides_without_the_fallback(monkeypatch):
+    def no_fallback(f, g):
+        raise AssertionError("prs_gcd called")
+
+    monkeypatch.setattr(ip, "prs_gcd", no_fallback)
+    sextic = [36, 0, -49, 0, 14, 0, -1]  # -(u^2 - 1)(u^2 - 4)(u^2 - 9)
+    delta = poly_mul(sextic, sextic)
+    assert ip.gcd(delta, ip.derivative(delta)) == ip.monic_sign(sextic)
+    assert ip.gcd(poly_mul([-2, 0, 1], [3, 1]), poly_mul([-2, 0, 1], [5, 0, 1])) == [-2, 0, 1]
+    assert ip.gcd([10 ** 30 + 57, 3, 1], [7, -(10 ** 29), 0, 1]) == [1]
+    # below the bound on xi a wrong candidate divides both: at xi = 2 the
+    # values are 3 and 2, whose gcd 1 would pass for gcd(u^2 - 1, u^2 - u)
+    assert ip.gcd([-1, 0, 1], [0, -1, 1]) == [-1, 1]
+    assert ip.gcd([0, 6, -11, 3], [0, 3, -7, 2]) == [0, -3, 1]
 
 
 @given(polys, nonzero, polys)
@@ -121,6 +164,12 @@ def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zer
     for r in roots:
         product = poly_mul(product, [-r.numerator, r.denominator])
     assert _poly(poly_mul(product, rest)) == _poly(ip.monic_sign(s))
+
+
+def test_refinement_refuses_a_rational_root():
+    # u^2 - 1 on (0, 2): the first midpoint is the root 1
+    with pytest.raises(ValueError):
+        ip.refine_interval([-1, 0, 1], Fraction(0), Fraction(2))
 
 
 def test_isolation_refuses_a_rational_root():

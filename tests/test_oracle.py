@@ -6,8 +6,10 @@ positive): the oracle never uses them, so exact agreement on a varied
 corpus validates both.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,6 +23,9 @@ from ellsurf import (
     twist,
     validate,
 )
+from ellsurf import _intpoly as ip
+from ellsurf import oracle
+from ellsurf.documents import triple_from_document
 from ellsurf.fuzz import random_valid_triple
 
 from conftest import U, V
@@ -224,3 +229,32 @@ class TestSampleSlices:
                 assert len(s.comps) == (2 if roots == 3 else 1), (t, s)
                 samples += 1
         assert samples >= 2 * len(surfaces)
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("name", ["w1", "fractional-coefficients", "random-k3"])
+    def test_compare_builds_each_forms_sturm_chain_once(self, monkeypatch, name):
+        # the oracle's fiber cubics are per sample point, not forms of the
+        # surface, and are left out of the count
+        cubics = []
+        fiber_cubic_at = oracle._fiber_cubic_at
+
+        def recording_cubic(t, pt):
+            cubics.append(fiber_cubic_at(t, pt))
+            return cubics[-1]
+
+        chains = []
+        sturm_chain = ip.sturm_chain
+
+        def counting_chain(f):
+            if not any(f is c for c in cubics):
+                chains.append(tuple(f))
+            return sturm_chain(f)
+
+        monkeypatch.setattr(oracle, "_fiber_cubic_at", recording_cubic)
+        monkeypatch.setattr(ip, "sturm_chain", counting_chain)
+        path = Path(__file__).parent / "golden" / f"{name}.triple.json"
+        t = triple_from_document(json.loads(path.read_text(encoding="utf-8")))
+        compare(t)
+        assert chains, "no form's Sturm chain was built"
+        assert len(chains) == len(set(chains))

@@ -1,6 +1,8 @@
 """Root isolation on the circle, exact signs and vanishing orders."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -24,14 +26,51 @@ from ellsurf.roots import (
     circle_sort_key_refine,
     compare_finite,
     points_equal,
+    rational_split,
     sample_between,
 )
 
-from conftest import U, V, interlace_sextic
+from conftest import U, V, interlace_sextic, poly_mul
 
 
 def sqrt2_point():
     return AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _sympy_sign_at_root(g, s, lo, hi):
+    """Exact sign of g at the one root of s in (lo, hi), by sympy's gcd and root counts."""
+    x = sympy.Symbol("x")
+    G = sympy.Poly(list(reversed(g)), x, domain="QQ")
+    S = sympy.Poly(list(reversed(s)), x, domain="QQ")
+    lo = sympy.Rational(lo.numerator, lo.denominator)
+    hi = sympy.Rational(hi.numerator, hi.denominator)
+    assert S.count_roots(lo, hi) == 1
+    common = sympy.gcd(G, S)
+    if common.degree() >= 1 and common.count_roots(lo, hi) >= 1:
+        return 0
+    while G.degree() >= 1 and G.count_roots(lo, hi) > 0:
+        mid = (lo + hi) / 2
+        if sympy.sign(S.eval(mid)) == sympy.sign(S.eval(lo)):
+            lo = mid
+        else:
+            hi = mid
+    return int(sympy.sign(G.eval((lo + hi) / 2)))
 
 
 class TestIsolation:
@@ -107,6 +146,31 @@ class TestSignAt:
         assert sign_at(U ** 2 * V, INFINITY) == 0
         assert sign_at(U ** 3 - V ** 3, INFINITY) == 1
         assert sign_at(-2 * U ** 3 + V ** 3, INFINITY) == -1
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(ip.strip).filter(bool),
+        st.sampled_from([2, 3, 5, 6, 7]),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(ip.strip).filter(bool),
+        st.sampled_from(["plain", "vanishes", "root in the interval"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_at_split_points_matches_sympy(self, cofactor, m, h, case):
+        # s has the irrational roots +-sqrt(m) at least
+        s = ip.squarefree_part(poly_mul(cofactor, [-m, 0, 1]))
+        points = [pt for _, pts in rational_split(s) for pt in pts]
+        points = [pt for pt in points if isinstance(pt, AlgebraicPoint)]
+        assert len(points) >= 2
+        for pt in points:
+            g = h
+            if case == "vanishes":
+                g = poly_mul(h, pt.defining.affine_int())
+            elif case == "root in the interval":
+                mid = (pt.lo + pt.hi) / 2
+                g = poly_mul(h, [-mid.numerator, mid.denominator])
+            form = BinForm.from_affine(ip.degree(g) + 1, g)
+            expected = _sympy_sign_at_root(g, pt.defining.affine_int(), pt.lo, pt.hi)
+            with time_limit(10):
+                assert sign_at(form, pt) == expected
 
 
 class TestValuationAt:
@@ -287,6 +351,16 @@ class TestCircleOrder:
                     assert not any(
                         p.lo <= q.value <= p.hi for q in finite_pts if isinstance(q, FinitePoint)
                     )
+
+    def test_rational_root_in_an_interval_raises(self):
+        # (u - v)(u^2 - 2v^2) has the root 1 in (1/2, 5/4), and no bisection
+        # midpoint of that interval is 1, so refining never excludes it
+        pt = AlgebraicPoint((U - V) * (U * U - 2 * V * V), Fraction(1, 2), Fraction(5, 4))
+        with time_limit(10):
+            with pytest.raises(ValueError):
+                pt.excluding(Fraction(1))
+            with pytest.raises(ValueError):
+                circle_sort_key_refine([pt, finite(1)])
 
     def test_repeated_finite_point_raises(self):
         with pytest.raises(ValueError):

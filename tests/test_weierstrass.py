@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsurf import (
     BinForm,
@@ -23,7 +25,7 @@ from ellsurf import (
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V, interlace_sextic
+from conftest import U, V, interlace_sextic, poly_mul
 
 
 class TestValidate:
@@ -77,6 +79,22 @@ class TestDiscriminant:
         h = interlace_sextic()
         expected = 27 * h * (h + 4 * V ** 6)
         assert discriminant(w1) == expected
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_form_arithmetic_on_fractional_triples(self, data):
+        k = data.draw(st.integers(1, 2))
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        p = BinForm.make(4 * k, data.draw(st.lists(coeff, min_size=4 * k + 1, max_size=4 * k + 1)))
+        q = BinForm.make(6 * k, data.draw(st.lists(coeff, min_size=6 * k + 1, max_size=6 * k + 1)))
+        delta = discriminant(WeierstrassTriple(k, p, q))
+        assert delta == 4 * p ** 3 + 27 * q ** 2
+        # and coefficient by coefficient over Q, with no library product
+        p3 = poly_mul(poly_mul(list(p.coeffs), list(p.coeffs)), list(p.coeffs))
+        q2 = poly_mul(list(q.coeffs), list(q.coeffs))
+        p3 += [Fraction(0)] * (12 * k + 1 - len(p3))
+        q2 += [Fraction(0)] * (12 * k + 1 - len(q2))
+        assert delta.coeffs == tuple(4 * a + 27 * b for a, b in zip(p3, q2))
 
 
 class TestJInvariant:
