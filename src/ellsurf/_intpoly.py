@@ -18,12 +18,12 @@ polynomial from its symmetric xi-adic digits, and the candidate is
 kept only when it divides both inputs exactly, which for xi above
 2 min(|f|, |g|) + 2 proves it is the gcd.  After a few failed xi the
 primitive pseudo-remainder sequence (prs_gcd) decides.  Division is
-fraction-free: exact division by a primitive divisor is integer long
-division that stops at the first inexact step, and otherwise one
-integer pseudo-division with a positive multiplier (Collins; Brown &
-Traub) serves the remainder sequences, Sturm chains and exact
-quotients.  Every rescaling is by a positive integer, so the primitive
-remainders and the quotients equal those of division over Q.
+fraction-free: exact division is integer long division by the
+primitive part of the divisor, which stops at the first inexact step,
+and the remainder sequences and Sturm chains use integer
+pseudo-remainders with a positive multiplier (Collins; Brown & Traub).
+Every rescaling is by a positive integer, so the primitive remainders
+and the quotients equal those of division over Q.
 
 Isolation takes what rational_roots leaves: squarefree, primitive,
 lc > 0 and without a rational root.  Every root it meets is therefore
@@ -151,35 +151,31 @@ def eval_sign(f: IntPoly, x: Fraction) -> int:
     return eval_int_sign(f, x.numerator, x.denominator)
 
 
-def _pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple:
-    """(Q, R, c) with c*f = Q*g + R, deg R < deg g, c = |lc g|^(deg f - deg g + 1).
+def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
+    """R with c*f = Q*g + R, deg R < deg g, c = |lc g|^(deg f - deg g + 1).
 
     The multiplier c is a positive integer, so R is a positive multiple
-    of the remainder over Q and Q of the quotient.  When deg f < deg g
-    the result is ([], f, 1).
+    of the remainder over Q.  When deg f < deg g the result is f.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     n = len(f) - len(g) + 1
     if n <= 0:
-        return [], list(f), 1
+        return list(f)
     a = abs(g[-1])
     dg = len(g) - 1
     # with lc g = sg * a, step k replaces r by a*r - t x^k g for
-    # t = sg * lc r, which cancels the leading term; the quotient term
-    # t x^k is multiplied by a in each of the k steps after it
+    # t = sg * lc r, which cancels the leading term
     sg = 1 if g[-1] > 0 else -1
     r = list(f)
-    q = [0] * n
     for k in range(n - 1, -1, -1):
         t = r.pop() * sg
         if a != 1:
             r = [a * x for x in r]
         if t:
-            q[k] = t * a ** k
             for i in range(dg):
                 r[k + i] -= t * g[i]
-    return q, strip(r), a ** n
+    return strip(r)
 
 
 def _div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
@@ -214,16 +210,16 @@ def try_div_exact(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
     """f / g when g divides f exactly over Q, with denominators cleared, else None.
 
     The result is the quotient over Q scaled by the least positive
-    integer that makes it integral.
+    integer that makes it integral: with g = c g' and g' primitive,
+    that is (f / g') / gcd(c, content(f / g')).
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if not f:
         return []
-    if content(g) == 1:
-        return _div_exact(f, g)
-    q, r, c = _pseudo_divmod(f, g)
-    if r:
+    c = content(g)
+    q = _div_exact(f, [x // c for x in g])
+    if q is None:
         return None
     d = int_gcd(c, content(q))
     return [x // d for x in q]
@@ -279,7 +275,7 @@ def prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with lc > 0 by primitive pseudo-remainders; gcd's fallback."""
     a, b = monic_sign(f), monic_sign(g)
     while b:
-        a, b = b, monic_sign(_pseudo_divmod(a, b)[1])
+        a, b = b, monic_sign(_pseudo_rem(a, b))
     return a
 
 
@@ -414,7 +410,7 @@ def _sturm_chain_sqf(f0: IntPoly) -> list:
         chain.pop()
         return chain
     while True:
-        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(primitive(neg(r)))

@@ -63,12 +63,6 @@ class BinForm:
         return BinForm(degree, tuple(a))
 
     @staticmethod
-    def from_scaled(degree: int, affine: Sequence[int], den: int) -> "BinForm":
-        """The form of the given degree whose f(u, 1) is the integer affine / den."""
-        pad = [0] * (degree + 1 - len(affine))
-        return BinForm(degree, tuple(Fraction(c, den) for c in list(affine) + pad))
-
-    @staticmethod
     def monomial(degree: int, i: int, c: Scalar = 1) -> "BinForm":
         """c * u^i v^(degree - i)."""
         coeffs = [Fraction(0)] * (degree + 1)
@@ -161,7 +155,10 @@ class BinForm:
         if isinstance(other, BinForm):
             a, da = self.scaled
             b, db = other.scaled
-            return BinForm.from_scaled(self.degree + other.degree, ip.mul(a, b), da * db)
+            den = da * db
+            return BinForm.from_affine(
+                self.degree + other.degree, [Fraction(c, den) for c in ip.mul(a, b)]
+            )
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return BinForm(self.degree, tuple(a * c for a in self.coeffs))
@@ -172,15 +169,12 @@ class BinForm:
     def __pow__(self, n: int) -> "BinForm":
         if n < 0:
             raise ValueError("negative power of a form")
-        result = BinForm.make(0, [1])
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        a, den = self.scaled
+        out = [1]
+        for _ in range(n):
+            out = ip.mul(out, a)
+        den = den ** n
+        return BinForm.from_affine(n * self.degree, [Fraction(c, den) for c in out])
 
     def u_derivative(self) -> "BinForm":
         if self.degree == 0:
@@ -213,7 +207,7 @@ class BinForm:
             raise ValueError("zero form has no content")
         a, den = self.scaled
         g = ip.content(a)
-        return Fraction(g, den), BinForm.from_scaled(self.degree, [c // g for c in a], 1)
+        return Fraction(g, den), BinForm.from_affine(self.degree, [c // g for c in a])
 
     def primitive(self) -> "BinForm":
         return self.content_and_primitive()[1]

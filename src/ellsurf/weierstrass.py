@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm, FormDegreeError, form_gcd
+from .binform import BinForm, form_gcd
 from .roots import INFINITY, CirclePoint, factor_order, rational_split
 
 
@@ -55,24 +55,8 @@ class WeierstrassTriple:
 
     @functools.cached_property
     def delta(self) -> BinForm:
-        """The discriminant 4 p^3 + 27 q^2, built on first use and kept.
-
-        One integer convolution over one common denominator: with
-        p(u, 1) = P / dp and q(u, 1) = Q / dq,
-        Delta(u, 1) = (4 dq^2 P^3 + 27 dp^3 Q^2) / (dp^3 dq^2).
-        """
-        if 3 * self.p.degree != 2 * self.q.degree:
-            raise FormDegreeError(
-                f"cannot add forms of degrees {3 * self.p.degree} and {2 * self.q.degree}"
-            )
-        pa, dp = self.p.scaled
-        qa, dq = self.q.scaled
-        c3, c2 = 4 * dq * dq, 27 * dp ** 3
-        num = ip.add(
-            [c3 * c for c in ip.mul(ip.mul(pa, pa), pa)],
-            [c2 * c for c in ip.mul(qa, qa)],
-        )
-        return BinForm.from_scaled(3 * self.p.degree, num, dp ** 3 * dq * dq)
+        """The discriminant 4 p^3 + 27 q^2, built on first use and kept."""
+        return 4 * self.p ** 3 + 27 * self.q ** 2
 
 
 def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
