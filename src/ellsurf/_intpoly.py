@@ -456,10 +456,11 @@ def sturm_count(chain: Sequence[IntPoly], lo: Optional[Fraction], hi: Optional[F
     return va - vb
 
 
-def count_real_roots(f: IntPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
+def count_real_roots(f: IntPoly) -> int:
+    """Distinct real roots of f."""
     if degree(f) <= 0:
         return 0
-    return sturm_count(sturm_chain(f), lo, hi)
+    return sturm_count(sturm_chain(f), None, None)
 
 
 def cauchy_bound(f: IntPoly) -> Fraction:

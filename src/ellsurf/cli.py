@@ -211,8 +211,8 @@ def transform(file, do_twist, i0star, do_verify, out):
 @click.option("--oracle-every", type=int, default=10, show_default=True)
 def fuzz(k, trials, seed, height, oracle_every):
     """Random triples vs. the theorem-backed invariants; exit 1 on violation."""
-    if k < 1 or trials < 0:
-        click.echo("k must be >= 1 and trials >= 0", err=True)
+    if k < 1 or trials < 0 or height < 1:
+        click.echo("k and height must be >= 1 and trials >= 0", err=True)
         sys.exit(EXIT_INVALID)
     summary = run_fuzz(k, trials, seed, height=height, oracle_every=oracle_every)
     for line in summary.lines():
@@ -238,8 +238,8 @@ def search(k, components_, budget, seed, out):
             err=True,
         )
         sys.exit(EXIT_INVALID)
-    if components_ < 1 or k < 1:
-        click.echo("k and components must be positive", err=True)
+    if components_ < 1 or k < 1 or budget < 1:
+        click.echo("k, components and budget must be positive", err=True)
         sys.exit(EXIT_INVALID)
     result = search_extremal(k, components_, SearchBudget(max_candidates=budget, rng_seed=seed))
     if not result.found:

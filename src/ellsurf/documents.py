@@ -90,10 +90,12 @@ def triple_from_document(doc: dict) -> WeierstrassTriple:
 
 
 def load_triple(path: str) -> WeierstrassTriple:
+    """Read and validate a triple document; raises DocumentError or WeierstrassError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, json's integer digit limit, deep nesting
             raise DocumentError(f"invalid JSON: {exc}") from exc
     return triple_from_document(doc)
 

@@ -14,6 +14,7 @@ come out to 12k exactly, which is asserted on every classification.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -194,29 +195,51 @@ def normalize(t: WeierstrassTriple) -> WeierstrassTriple:
     content of p together with ro^3 dividing the content of q.  Scaling
     factors are positive, so the sign of q is never absorbed: (p, -q)
     and (p, q) normalize to distinct triples.
+
+    Nothing is factored.  A prime divides the scale mu only if it
+    divides G = gcd(num cp, num cq) * den cp * den cq (num c * den c for
+    the one nonzero content c): any other prime has valuation 0 in one
+    content and >= 0 in the other.  G is trial-divided below 2^16, and
+    what is left is 1 or, below 2^32, a prime.  A G with two prime
+    factors >= 2^16 (counted with multiplicity) or one >= 2^32 is
+    refused with ValueError.
     """
-    if t.p.is_zero:
-        cq, _ = t.q.content_and_primitive()
-        mu = _largest_nth_power_divisor(cq, 3)
-    elif t.q.is_zero:
-        cp, _ = t.p.content_and_primitive()
-        mu = _largest_nth_power_divisor(cp, 2)
-    else:
-        cp, _ = t.p.content_and_primitive()
-        cq, _ = t.q.content_and_primitive()
-        mu = Fraction(1)
-        for prime in _primes_of(cp) | _primes_of(cq):
-            e = min(_valuation(cp, prime) // 2, _valuation(cq, prime) // 3)
-            mu *= Fraction(prime) ** e
+    contents = [
+        (f.content_and_primitive()[0], n) for f, n in ((t.p, 2), (t.q, 3)) if not f.is_zero
+    ]
+    g = math.gcd(*(c.numerator for c, _ in contents)) * math.prod(
+        c.denominator for c, _ in contents
+    )
+    mu = Fraction(1)
+    for prime in _prime_divisors(g):
+        mu *= Fraction(prime) ** min(_valuation(c, prime) // n for c, n in contents)
     return WeierstrassTriple(t.k, t.p * (1 / mu ** 2), t.q * (1 / mu ** 3))
 
 
-def _primes_of(x: Fraction) -> set:
-    import sympy
+_TRIAL_BOUND = 1 << 16
 
-    return set(sympy.factorint(x.numerator).keys()) | set(
-        sympy.factorint(x.denominator).keys()
-    )
+
+def _prime_divisors(g: int) -> List[int]:
+    """The distinct primes of g >= 1, by trial division below 2^16.
+
+    What the division leaves has no prime factor below 2^16, so it is 1
+    or a prime when it is below 2^32; a larger rest raises ValueError.
+    """
+    primes = []
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= g:
+        if g % d == 0:
+            primes.append(d)
+            while g % d == 0:
+                g //= d
+        d += 1 if d == 2 else 2
+    if g >= _TRIAL_BOUND ** 2:
+        raise ValueError(
+            f"content cofactor {g} has no prime factor below 2^16 and is not below 2^32"
+        )
+    if g > 1:
+        primes.append(g)
+    return primes
 
 
 def _valuation(x: Fraction, prime: int) -> int:
@@ -230,13 +253,6 @@ def _valuation(x: Fraction, prime: int) -> int:
         d //= prime
         v -= 1
     return v
-
-
-def _largest_nth_power_divisor(x: Fraction, n: int) -> Fraction:
-    mu = Fraction(1)
-    for prime in _primes_of(x):
-        mu *= Fraction(prime) ** (_valuation(x, prime) // n)
-    return mu
 
 
 # ---------------------------------------------------------------------------

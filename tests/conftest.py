@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from ellsurf import BinForm, validate
@@ -22,6 +25,22 @@ def poly_mul(f, g):
 def interlace_sextic():
     """(u^2 - v^2)(u^2 - 4v^2)(u^2 - 9v^2): six rational roots +-1, +-2, +-3."""
     return (U * U - V * V) * (U * U - 4 * V * V) * (U * U - 9 * V * V)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

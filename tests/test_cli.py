@@ -69,6 +69,28 @@ class TestValidateCommand:
             result = runner.invoke(main, [command, path])
             assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"k": 1, "p": ["\xff"]}',
+            b'{"k": ' + b"1" * 5000 + b', "p": [], "q": []}',
+        ],
+        ids=["deep-nesting", "not-utf8", "long-integer"],
+    )
+    def test_unparsable_document(self, runner, tmp_path, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        for args in (
+            ["validate"],
+            ["report", "--json"],
+            ["oracle-check"],
+            ["transform", "--twist"],
+        ):
+            result = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert result.exit_code == 2, (args, result.output, result.exception)
+            assert "invalid" in result.output
+
     def test_unreadable(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "missing.json")])
         assert result.exit_code == 2
@@ -128,21 +150,26 @@ class TestReportCommand:
         assert a == b
 
     def test_report_and_compare_never_import_sympy(self, w1_file):
-        # classification factors nothing, so only normalize loads sympy;
-        # the twist's verifier does not normalize either
+        # the runtime needs only click: no command and no library call loads sympy
         script = (
             "import sys\n"
             "from ellsurf.cli import main\n"
             "from ellsurf.documents import load_triple\n"
             "from ellsurf.oracle import compare\n"
             f"path = {w1_file!r}\n"
-            "report = ['report', path, '--json']\n"
-            "verify = ['transform', path, '--twist', '--verify']\n"
-            "for args in (report, verify):\n"
+            "commands = [\n"
+            "    ['report', path, '--json'],\n"
+            "    ['transform', path, '--twist', '--verify'],\n"
+            "    ['validate', path],\n"
+            "    ['oracle-check', path],\n"
+            "    ['fuzz', '--trials', '3'],\n"
+            "    ['search', '--k', '1', '--components', '5'],\n"
+            "]\n"
+            "for args in commands:\n"
             "    try:\n"
             "        main.main(args, standalone_mode=False)\n"
             "    except SystemExit as exc:\n"
-            "        assert not exc.code\n"
+            "        assert not exc.code, args\n"
             "compare(load_triple(path))\n"
             "print('sympy' in sys.modules, file=sys.stderr)\n"
         )
@@ -237,12 +264,28 @@ class TestFuzzCommand:
         result = runner.invoke(main, ["fuzz", "--trials", "0"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "args", [["--k", "0"], ["--trials", "-1"], ["--height", "0"], ["--height", "-1"]]
+    )
+    def test_parameters_out_of_range(self, runner, args):
+        result = runner.invoke(main, ["fuzz", "--trials", "3", *args])
+        assert result.exit_code == 2, result.output
+        assert ">= 1" in result.output
+
 
 class TestSearchCommand:
     def test_too_many_components_rejected(self, runner):
         result = runner.invoke(main, ["search", "--k", "1", "--components", "6"])
         assert result.exit_code == 2
         assert "bound" in result.output
+
+    @pytest.mark.parametrize(
+        "args", [["--components", "0"], ["--budget", "0"], ["--budget", "-1"]]
+    )
+    def test_parameters_out_of_range(self, runner, args):
+        result = runner.invoke(main, ["search", "--components", "1", *args])
+        assert result.exit_code == 2, result.output
+        assert "must be positive" in result.output
 
     def test_one_component_at_k2(self, runner):
         result = runner.invoke(main, ["search", "--k", "2", "--components", "1"])

@@ -1,8 +1,6 @@
 """Root isolation on the circle, exact signs and vanishing orders."""
 
-import contextlib
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -30,27 +28,11 @@ from ellsurf.roots import (
     sample_between,
 )
 
-from conftest import U, V, interlace_sextic, poly_mul
+from conftest import U, V, interlace_sextic, poly_mul, time_limit
 
 
 def sqrt2_point():
     return AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2))
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _sympy_sign_at_root(g, s, lo, hi):

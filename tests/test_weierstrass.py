@@ -1,9 +1,11 @@
 """Validation, discriminant, j, rescaling and Kodaira classification."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,60 @@ from ellsurf import (
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V, interlace_sextic, poly_mul
+from conftest import U, V, interlace_sextic, poly_mul, time_limit
+
+
+def _sympy_normalize(t):
+    """normalize with its scale found by sympy.factorint: the reference."""
+
+    def primes_of(x):
+        return set(sympy.factorint(x.numerator)) | set(sympy.factorint(x.denominator))
+
+    def valuation(x, prime):
+        return sympy.multiplicity(prime, x.numerator) - sympy.multiplicity(prime, x.denominator)
+
+    def largest_nth_power_divisor(x, n):
+        mu = Fraction(1)
+        for prime in primes_of(x):
+            mu *= Fraction(prime) ** (valuation(x, prime) // n)
+        return mu
+
+    if t.p.is_zero:
+        mu = largest_nth_power_divisor(t.q.content_and_primitive()[0], 3)
+    elif t.q.is_zero:
+        mu = largest_nth_power_divisor(t.p.content_and_primitive()[0], 2)
+    else:
+        cp, _ = t.p.content_and_primitive()
+        cq, _ = t.q.content_and_primitive()
+        mu = Fraction(1)
+        for prime in primes_of(cp) | primes_of(cq):
+            mu *= Fraction(prime) ** min(valuation(cp, prime) // 2, valuation(cq, prime) // 3)
+    return WeierstrassTriple(t.k, t.p * (1 / mu ** 2), t.q * (1 / mu ** 3))
+
+
+def _contents_triple(cp, cq):
+    """A k = 1 triple whose p and q have the contents cp and cq; None is a zero form."""
+    p = BinForm.zero(4) if cp is None else cp * (U ** 4 - 2 * V ** 4)
+    q = BinForm.zero(6) if cq is None else cq * (U ** 6 + 3 * U * V ** 5)
+    return WeierstrassTriple(1, p, q)
+
+
+def _product(factors):
+    out = Fraction(1)
+    for prime, e in factors:
+        out *= Fraction(prime) ** e
+    return out
+
+
+# primes below 2^16, and primes in [2^16, 2^32) of every bit length, with
+# exponents of both signs
+_PRIMES = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 65521]),
+    st.integers(17, 32)
+    .flatmap(lambda bits: st.integers(2 ** (bits - 1) + 2, 2 ** bits - 1))
+    .map(sympy.prevprime),
+)
+_CONTENTS = st.lists(st.tuples(_PRIMES, st.integers(-7, 7)), max_size=3).map(_product)
 
 
 class TestValidate:
@@ -155,8 +210,6 @@ class TestRescaleNormalize:
         assert n.p == BinForm.monomial(4, 2) and n.q == BinForm.monomial(6, 3)
 
     def test_normalize_postconditions_on_fuzzed(self):
-        import sympy
-
         rng = random.Random(321)
         for _ in range(10):
             t = random_valid_triple(rng, 1, height=9)
@@ -172,6 +225,50 @@ class TestRescaleNormalize:
             ):
                 assert not (int(cp) % prime ** 2 == 0 and int(cq) % prime ** 3 == 0)
             assert normalize(n) == n
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(cp=_CONTENTS, cq=_CONTENTS, which=st.sampled_from(["both", "p", "q"]))
+    def test_normalize_matches_sympy_reference_or_refuses(self, cp, cq, which):
+        contents = [c for c, zero in ((cp, which == "q"), (cq, which == "p")) if not zero]
+        t = _contents_triple(None if which == "q" else cp, None if which == "p" else cq)
+        g = math.gcd(*(c.numerator for c in contents)) * math.prod(
+            c.denominator for c in contents
+        )
+        large = [
+            prime for prime, e in sympy.factorint(g).items() for _ in range(e) if prime >= 2 ** 16
+        ]
+        if len(large) >= 2 or any(prime >= 2 ** 32 for prime in large):
+            with pytest.raises(ValueError):
+                normalize(t)
+        else:
+            assert normalize(t) == _sympy_normalize(t)
+
+    @pytest.mark.parametrize(
+        "cp,cq,refused",
+        [
+            (Fraction(65537 ** 2), Fraction(65537 ** 3), True),
+            (Fraction(2 ** 32 + 15), Fraction(2 ** 32 + 15), True),
+            (Fraction(1, 65537 * 65539), Fraction(1), True),
+            (Fraction(65521 ** 2 * 3), Fraction(65521 ** 3), False),
+            (Fraction(4294967291 * 9), Fraction(4294967291 * 27, 2), False),
+        ],
+    )
+    def test_normalize_refusal_boundary(self, cp, cq, refused):
+        t = _contents_triple(cp, cq)
+        if refused:
+            with pytest.raises(ValueError):
+                normalize(t)
+        else:
+            assert normalize(t) == _sympy_normalize(t)
+
+    def test_shared_semiprime_content_is_refused_quickly(self):
+        n = sympy.nextprime(10 ** 22) * sympy.nextprime(3 * 10 ** 22)
+        assert len(str(n)) == 45
+        t = _contents_triple(Fraction(n), Fraction(n))
+        with time_limit(5):
+            with pytest.raises(ValueError):
+                normalize(t)
 
 
 class TestKodairaTable:
