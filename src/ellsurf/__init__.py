@@ -7,7 +7,7 @@ their verifiers, an extremal-component search, and an independent
 cell-complex oracle that cross-checks every topological output.
 """
 
-from .binform import BinForm, FormDegreeError, Rational, form_gcd, squarefree_part
+from .binform import BinForm, FormDegreeError, form_gcd, squarefree_part
 from .roots import (
     INFINITY,
     AlgebraicPoint,
@@ -18,13 +18,11 @@ from .roots import (
     isolate_real_roots,
     sign_at,
     simplest_between,
-    valuation_at,
 )
 from .weierstrass import (
     ConjugatePairTag,
     DeltaIdenticallyZero,
     FiberReport,
-    JInvariant,
     KodairaType,
     NonMinimal,
     SurfaceInvariants,
@@ -32,9 +30,7 @@ from .weierstrass import (
     WeierstrassTriple,
     classify_fibers,
     discriminant,
-    j_invariant,
     normalize,
-    rescale,
     validate,
 )
 from .topology import (
@@ -47,7 +43,6 @@ from .topology import (
     arc_decomposition,
     betti,
     check_bounds,
-    real_type_of_nodal,
     smooth_fiber_components,
 )
 from .transforms import (
@@ -57,7 +52,6 @@ from .transforms import (
     SearchResult,
     Verification,
     i0star_transform,
-    iterate_i0star,
     make_params,
     search_extremal,
     twist,
@@ -71,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinForm",
     "FormDegreeError",
-    "Rational",
     "form_gcd",
     "squarefree_part",
     "INFINITY",
@@ -83,11 +76,9 @@ __all__ = [
     "isolate_real_roots",
     "sign_at",
     "simplest_between",
-    "valuation_at",
     "ConjugatePairTag",
     "DeltaIdenticallyZero",
     "FiberReport",
-    "JInvariant",
     "KodairaType",
     "NonMinimal",
     "SurfaceInvariants",
@@ -95,9 +86,7 @@ __all__ = [
     "WeierstrassTriple",
     "classify_fibers",
     "discriminant",
-    "j_invariant",
     "normalize",
-    "rescale",
     "validate",
     "Arc",
     "ArcDecomposition",
@@ -108,7 +97,6 @@ __all__ = [
     "arc_decomposition",
     "betti",
     "check_bounds",
-    "real_type_of_nodal",
     "smooth_fiber_components",
     "I0StarParams",
     "InvalidI0StarParams",
@@ -116,7 +104,6 @@ __all__ = [
     "SearchResult",
     "Verification",
     "i0star_transform",
-    "iterate_i0star",
     "make_params",
     "search_extremal",
     "twist",

@@ -378,18 +378,6 @@ def rational_roots(f: IntPoly) -> tuple:
     return sorted(out), rest
 
 
-def multiplicity_of_factor(f: IntPoly, factor: IntPoly) -> int:
-    """Largest m with factor^m dividing f (f nonzero, deg factor >= 1)."""
-    m = 0
-    cur = list(f)
-    while True:
-        nxt = try_div_exact(cur, factor)
-        if nxt is None:
-            return m
-        cur = nxt
-        m += 1
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and real root isolation
 

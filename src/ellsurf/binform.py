@@ -18,8 +18,6 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from . import _intpoly as ip
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -63,16 +61,9 @@ class BinForm:
         return BinForm(degree, tuple(a))
 
     @staticmethod
-    def monomial(degree: int, i: int, c: Scalar = 1) -> "BinForm":
-        """c * u^i v^(degree - i)."""
-        coeffs = [Fraction(0)] * (degree + 1)
-        coeffs[i] = Fraction(c)
-        return BinForm(degree, tuple(coeffs))
-
-    @staticmethod
-    def from_linear_roots(roots: Sequence[Scalar], lead: Scalar = 1) -> "BinForm":
-        """lead * prod (u - r v) over the given rational roots."""
-        form = BinForm.make(0, [lead])
+    def from_linear_roots(roots: Sequence[Scalar]) -> "BinForm":
+        """prod (u - r v) over the given rational roots."""
+        form = BinForm.make(0, [1])
         for r in roots:
             form = form * BinForm.make(1, [-Fraction(r), 1])
         return form
@@ -82,13 +73,6 @@ class BinForm:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def affine(self) -> list:
-        """Coefficients of f(u, 1), ascending, stripped."""
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        return a
 
     @functools.cached_property
     def scaled(self) -> Tuple[list, int]:
@@ -118,15 +102,13 @@ class BinForm:
             raise ValueError("zero form has no well-defined vanishing order")
         return self.degree - ip.degree(self.affine_int())
 
-    def evaluate(self, u: Scalar, v: Scalar = 1) -> Fraction:
+    def evaluate(self, u: Scalar) -> Fraction:
+        """f(u, 1)."""
         u = Fraction(u)
-        v = Fraction(v)
         a, den = self.scaled
-        # with x = u.num * v.den and y = v.num * u.den,
-        # f(u, v) = sum_i a_i x^i y^(d-i) / (den * (u.den * v.den)^d)
-        y = v.numerator * u.denominator
-        total = ip.eval_hom(a, u.numerator * v.denominator, y) * y ** (self.degree - ip.degree(a))
-        return Fraction(total, den * (u.denominator * v.denominator) ** self.degree)
+        # f(u, 1) = a(n / m) / den = eval_hom(a, n, m) / (den * m^deg a), u = n / m
+        m = u.denominator
+        return Fraction(ip.eval_hom(a, u.numerator, m), den * m ** max(ip.degree(a), 0))
 
     def value_at_infinity(self) -> Fraction:
         """f(1, 0), the chart-2 value at the point at infinity."""
@@ -191,10 +173,6 @@ class BinForm:
             self.degree - 1,
             tuple(self.coeffs[i] * (self.degree - i) for i in range(self.degree)),
         )
-
-    def reversed_chart(self) -> "BinForm":
-        """The same form read in the chart swapping u and v."""
-        return BinForm(self.degree, tuple(reversed(self.coeffs)))
 
     # -- normalization -------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 Subcommands: validate, report, transform, fuzz, search, oracle-check.
 Exit codes follow one convention everywhere: 0 success, 1 theorem
-violation (fuzzing or oracle disagreement), 2 invalid input or
-parameters.  All output is deterministic.
+violation (fuzzing, a failed transform check, oracle disagreement or a
+failed invariant in search), 2 invalid input or parameters.  search
+also exits 1 when it accepts no candidate; its stdout then starts with
+"not found" instead of "VIOLATION".  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -211,8 +213,8 @@ def transform(file, do_twist, i0star, do_verify, out):
 @click.option("--oracle-every", type=int, default=10, show_default=True)
 def fuzz(k, trials, seed, height, oracle_every):
     """Random triples vs. the theorem-backed invariants; exit 1 on violation."""
-    if k < 1 or trials < 0 or height < 1:
-        click.echo("k and height must be >= 1 and trials >= 0", err=True)
+    if k < 1 or trials < 0 or height < 1 or oracle_every < 0:
+        click.echo("k and height must be >= 1, trials and oracle-every >= 0", err=True)
         sys.exit(EXIT_INVALID)
     summary = run_fuzz(k, trials, seed, height=height, oracle_every=oracle_every)
     for line in summary.lines():
@@ -231,7 +233,12 @@ def fuzz(k, trials, seed, height, oracle_every):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def search(k, components_, budget, seed, out):
-    """Find a verified surface with the requested number of real components."""
+    """Find a verified surface with the requested number of real components.
+
+    Exit 1 with "not found: ..." when no candidate is accepted, and with
+    "VIOLATION: ..." when one fails an invariant (the same arguments
+    rebuild it).
+    """
     if components_ > 5 * k:
         click.echo(
             f"rejected: {components_} components exceeds the bound 5k = {5 * k}",
@@ -241,7 +248,11 @@ def search(k, components_, budget, seed, out):
     if components_ < 1 or k < 1 or budget < 1:
         click.echo("k, components and budget must be positive", err=True)
         sys.exit(EXIT_INVALID)
-    result = search_extremal(k, components_, SearchBudget(max_candidates=budget, rng_seed=seed))
+    try:
+        result = search_extremal(k, components_, SearchBudget(max_candidates=budget, rng_seed=seed))
+    except AssertionError as exc:
+        click.echo(f"VIOLATION: {exc}")
+        sys.exit(EXIT_VIOLATION)
     if not result.found:
         click.echo(f"not found: {result.reason} (tried {result.candidates_tried})")
         sys.exit(EXIT_VIOLATION)

@@ -41,11 +41,9 @@ def random_form(rng: random.Random, degree: int, height: int) -> BinForm:
     return BinForm.make(degree, [rng.randint(-height, height) for _ in range(degree + 1)])
 
 
-def random_valid_triple(
-    rng: random.Random, k: int, height: int = 9, max_tries: int = 200
-) -> WeierstrassTriple:
-    """Rejection-sample a valid triple with integer coefficients."""
-    for _ in range(max_tries):
+def random_valid_triple(rng: random.Random, k: int, height: int = 9) -> WeierstrassTriple:
+    """Rejection-sample a valid triple with integer coefficients; 200 draws at most."""
+    for _ in range(200):
         p = random_form(rng, 4 * k, height)
         q = random_form(rng, 6 * k, height)
         try:

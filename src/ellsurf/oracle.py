@@ -167,7 +167,9 @@ def oracle_topology(
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
     extra_samples inserts more rational slice points (they must not be
-    zeros of the discriminant); the output must not depend on them.
+    zeros of the discriminant); the output must not depend on them.  Only
+    the tests pass it: it is how they check that the oracle's answer does
+    not depend on the arc samples the pipeline chose.
     reports, when given, is the fiber classification of t.  arcs, when
     given, is the pipeline's arc decomposition of t: its ordered cuts
     and arc samples are used as they are, and every slice is still

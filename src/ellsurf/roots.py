@@ -237,7 +237,7 @@ def rational_split(s: list) -> List[Tuple[list, List[CirclePoint]]]:
 
 
 # ---------------------------------------------------------------------------
-# sign and vanishing order at a point
+# sign at a point
 
 
 def sign_at(g: BinForm, c: CirclePoint) -> int:
@@ -269,24 +269,6 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
             else:
                 lo, v_lo = new_lo, ip.variations_at(chain, new_lo)
     return ip.eval_sign(ga, (lo + hi) / 2)
-
-
-def valuation_at(g: BinForm, c: CirclePoint) -> int:
-    """Multiplicity of c as a root of g (0 when g(c) != 0); g nonzero."""
-    if g.is_zero:
-        raise ValueError("zero form")
-    if isinstance(c, InfinityPoint):
-        return g.v_order_at_infinity()
-    if isinstance(c, FinitePoint):
-        ga = g.affine_int()
-        r = c.value
-        lin = [-r.numerator, r.denominator]
-        return ip.multiplicity_of_factor(ga, lin)
-    assert isinstance(c, AlgebraicPoint)
-    for comp, mult in ip.yun_decomposition(g.affine_int()):
-        if _divisor_vanishes_in(ip.gcd(comp, c.defining.affine_int()), c.lo, c.hi):
-            return mult
-    return 0
 
 
 # ---------------------------------------------------------------------------

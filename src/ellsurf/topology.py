@@ -75,20 +75,9 @@ I1_PLUS = RealFiberType("I1+")
 I1_MINUS = RealFiberType("I1-")
 
 
-def real_type_of_nodal(t: WeierstrassTriple, c: CirclePoint) -> RealFiberType:
-    """Type of the nodal fiber at c: 'I1-' iff q(c) > 0, 'I1+' iff q(c) < 0.
-
-    c must be a simple real zero of the discriminant; anything else is
-    rejected.
-    """
-    from .roots import valuation_at
-
-    if valuation_at(discriminant(t), c) != 1:
-        raise ValueError(f"the fiber at {c} is not nodal")
-    return _nodal_type_unchecked(t, c)
-
-
 def _nodal_type_unchecked(t: WeierstrassTriple, c: CirclePoint) -> RealFiberType:
+    """'I1-' iff q(c) > 0, 'I1+' iff q(c) < 0; c must be a simple real zero
+    of the discriminant, which is not checked here."""
     s = sign_at(t.q, c)
     if s == 0:
         raise ValueError("q vanishes at c, so the fiber at c is not nodal")

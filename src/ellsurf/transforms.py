@@ -21,12 +21,12 @@ before being returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .binform import BinForm
-from .oracle import OracleDisagreement, compare, oracle_topology
+from .oracle import compare, oracle_topology
 from .roots import (
     AlgebraicPoint,
     CirclePoint,
@@ -46,6 +46,7 @@ from .topology import (
 from .weierstrass import (
     ConjugatePairTag,
     FiberReport,
+    WeierstrassError,
     WeierstrassTriple,
     classify_fibers,
     discriminant,
@@ -103,14 +104,6 @@ def i0star_transform(t: WeierstrassTriple, params: I0StarParams) -> WeierstrassT
     r = BinForm.from_linear_roots([params.a, params.b])
     out = validate(t.k + 1, r ** 2 * t.p, r ** 3 * t.q)
     return out
-
-
-def iterate_i0star(t: WeierstrassTriple, params_list: Sequence[Tuple]) -> WeierstrassTriple:
-    """Fold the I0* step over a list of (a, b) pairs; k grows by the length."""
-    cur = t
-    for a, b in params_list:
-        cur = i0star_transform(cur, make_params(cur, a, b))
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +316,8 @@ def search_extremal(k_target: int, h0_target: int, budget: SearchBudget) -> Sear
     two-circle arcs with matching nodal signs after a twist; eps runs
     down a deterministic ladder of binary scales until the verifier
     accepts.  Every returned triple has passed validation, topology,
-    bound checks and exact oracle agreement.
+    bound checks and exact oracle agreement.  A candidate that fails an
+    invariant raises AssertionError instead of being skipped.
     """
     if h0_target < 1:
         return SearchResult(None, 0, "h0 must be at least 1")
@@ -436,7 +430,7 @@ def _build_candidate(
     q = 2 * g ** 3 + eps * h
     try:
         y = validate(k, p, q)
-    except Exception:
+    except WeierstrassError:
         return None
     return twist(y)
 
@@ -444,18 +438,22 @@ def _build_candidate(
 def _verify_candidate(
     cand: WeierstrassTriple, k_target: int, h0_target: int
 ) -> Optional[Tuple[WeierstrassTriple, RealTopologyReport]]:
+    """The normalized candidate and its topology, or None when it is not
+    real-generic or misses h0_target.  A failed invariant, bound check or
+    oracle agreement is a theorem violation: AssertionError propagates.
+    """
     try:
         reports, _ = classify_fibers(cand)
         report = betti(cand, reports)
-    except (NotRealGeneric, AssertionError):
+    except NotRealGeneric:
         return None
     if report.h0 != h0_target:
         return None
     bounds = check_bounds(report, k_target)
     if not bounds.all_ok:
-        return None
-    try:
-        compare(cand, reports)
-    except OracleDisagreement:
-        return None
+        failed = ", ".join(
+            f.name for f in fields(bounds) if f.name.endswith("_ok") and not getattr(bounds, f.name)
+        )
+        raise AssertionError(f"bounds failed at k={k_target}, h0={report.h0}, h1={report.h1}: {failed}")
+    compare(cand, reports)
     return normalize(cand), report

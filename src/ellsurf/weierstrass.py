@@ -135,59 +135,6 @@ def discriminant(t: WeierstrassTriple) -> BinForm:
     return t.delta
 
 
-@dataclass(frozen=True)
-class JInvariant:
-    """Both j conventions, each reduced by the gcd of the two forms.
-
-    `ratio` is (4p^3 : 27q^2); `standard` is (6912 p^3 : Delta), i.e.
-    1728 * 4p^3 over 4p^3 + 27q^2.  `ratio_degenerate` flags q == 0,
-    where the first convention has a vanishing denominator.
-    """
-
-    ratio_num: BinForm
-    ratio_den: BinForm
-    standard_num: BinForm
-    standard_den: BinForm
-    ratio_degenerate: bool
-
-
-def j_invariant(t: WeierstrassTriple) -> JInvariant:
-    num = 4 * t.p ** 3
-    den = 27 * t.q ** 2
-    std_num = 1728 * num
-    std_den = discriminant(t)
-    return JInvariant(
-        *_reduce_pair(num, den),
-        *_reduce_pair(std_num, std_den),
-        ratio_degenerate=t.q.is_zero,
-    )
-
-
-def _reduce_pair(num: BinForm, den: BinForm) -> Tuple[BinForm, BinForm]:
-    if num.is_zero or den.is_zero:
-        return num, den
-    g = form_gcd(num, den)
-    qn = ip.try_div_exact(num.affine_int(), g.affine_int())
-    qd = ip.try_div_exact(den.affine_int(), g.affine_int())
-    assert qn is not None and qd is not None
-    shared = ip.int_gcd(ip.content(qn), ip.content(qd))
-    if shared > 1:
-        qn = [c // shared for c in qn]
-        qd = [c // shared for c in qd]
-    return (
-        BinForm.from_affine(num.degree - g.degree, qn),
-        BinForm.from_affine(den.degree - g.degree, qd),
-    )
-
-
-def rescale(t: WeierstrassTriple, lam: Fraction) -> WeierstrassTriple:
-    """(p, q) -> (lam^4 p, lam^6 q); an isomorphic presentation."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise WeierstrassError("rescaling factor must be nonzero")
-    return WeierstrassTriple(t.k, t.p * lam ** 4, t.q * lam ** 6)
-
-
 def normalize(t: WeierstrassTriple) -> WeierstrassTriple:
     """Canonical representative of the positive rescaling orbit.
 

@@ -3,10 +3,29 @@ import signal
 
 import pytest
 
-from ellsurf import BinForm, validate
+from ellsurf import BinForm, WeierstrassTriple, i0star_transform, make_params, validate
 
 U = BinForm.make(1, [0, 1])
 V = BinForm.make(1, [1, 0])
+
+
+def monomial(degree, i, c=1):
+    """c * u^i v^(degree - i)."""
+    coeffs = [0] * (degree + 1)
+    coeffs[i] = c
+    return BinForm.make(degree, coeffs)
+
+
+def rescale(t, lam):
+    """(p, q) -> (lam^4 p, lam^6 q): an isomorphic presentation of t."""
+    return WeierstrassTriple(t.k, t.p * lam ** 4, t.q * lam ** 6)
+
+
+def iterate_i0star(t, centers):
+    """The I0* step folded over a list of center pairs (a, b); k grows by its length."""
+    for a, b in centers:
+        t = i0star_transform(t, make_params(t, a, b))
+    return t
 
 
 def poly_mul(f, g):

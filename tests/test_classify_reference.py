@@ -20,7 +20,6 @@ from ellsurf import (
     FinitePoint,
     InfinityPoint,
     classify_fibers,
-    iterate_i0star,
     twist,
     validate,
 )
@@ -28,14 +27,14 @@ from ellsurf.documents import load_triple
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V
+from conftest import U, V, iterate_i0star
 
 X = sympy.Symbol("x")
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _sympy_poly(form):
-    return sympy.Poly(list(reversed(form.affine())), X, domain="QQ")
+    return sympy.Poly(list(reversed(form.coeffs)), X, domain="QQ")
 
 
 def _orders(form):

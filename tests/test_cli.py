@@ -13,7 +13,7 @@ from ellsurf import BinForm, validate
 from ellsurf.cli import main
 from ellsurf.documents import dump_json, triple_to_document
 
-from conftest import U, V
+from conftest import U, V, monomial
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
@@ -124,7 +124,7 @@ class TestReportCommand:
         assert no_floats(doc)
 
     def test_istar_refusal_with_partial_data(self, runner, tmp_path):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
+        t = validate(1, monomial(4, 2), monomial(6, 3))
         path = _write(tmp_path, "istar.json", triple_to_document(t))
         result = runner.invoke(main, ["report", path, "--json"])
         assert result.exit_code == 0
@@ -272,6 +272,15 @@ class TestFuzzCommand:
         assert result.exit_code == 2, result.output
         assert ">= 1" in result.output
 
+    def test_negative_oracle_every_rejected(self, runner):
+        # 0 means never; a negative value used to act like 1
+        result = runner.invoke(main, ["fuzz", "--trials", "3", "--oracle-every", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "oracle-every >= 0" in result.output
+        result = runner.invoke(main, ["fuzz", "--trials", "3", "--oracle-every", "0"])
+        assert result.exit_code == 0, result.output
+        assert "oracle_checked=0" in result.output
+
 
 class TestSearchCommand:
     def test_too_many_components_rejected(self, runner):
@@ -313,6 +322,17 @@ class TestSearchCommand:
         result = runner.invoke(main, ["search", "--k", "1", "--components", "5"])
         assert result.exit_code == 0, result.output
         assert "h0=5 h1=2 chi=8" in result.output
+
+    def test_failed_invariant_is_a_violation(self, runner, monkeypatch):
+        import ellsurf.transforms
+
+        def broken(*args, **kwargs):
+            raise AssertionError("Euler characteristic mismatch")
+
+        monkeypatch.setattr(ellsurf.transforms, "betti", broken)
+        result = runner.invoke(main, ["search", "--k", "1", "--components", "3"])
+        assert result.exit_code == 1, result.output
+        assert result.output == "VIOLATION: Euler characteristic mismatch\n"
 
 
 class TestOracleCheckCommand:

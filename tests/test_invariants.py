@@ -12,13 +12,12 @@ from ellsurf import (
     classify_fibers,
     discriminant,
     isolate_real_roots,
-    rescale,
     validate,
 )
 from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
 
-from conftest import U, V, interlace_sextic
+from conftest import U, V, interlace_sextic, monomial, rescale
 
 
 class TestDiscriminantBookkeeping:
@@ -70,8 +69,8 @@ class TestConditionTwoCrossCheck:
     )
     def test_monomial_shift_family(self, a, b, expect_valid):
         # p = u^(2+a) v^(2-a), q = u^(3+b) v^(3-b): orders at 0 are 2+a, 3+b
-        p = BinForm.monomial(4, 2 + a)
-        q = BinForm.monomial(6, 3 + b)
+        p = monomial(4, 2 + a)
+        q = monomial(6, 3 + b)
         if expect_valid:
             validate(1, p, q)
         else:
@@ -81,12 +80,12 @@ class TestConditionTwoCrossCheck:
     def test_zero_p_uses_q_order_alone(self):
         # p identically zero counts as infinite order: only q's order matters
         with pytest.raises(NonMinimal):
-            validate(1, BinForm.zero(4), BinForm.monomial(6, 6))
-        validate(1, BinForm.zero(4), BinForm.monomial(6, 5) + V ** 6)
+            validate(1, BinForm.zero(4), monomial(6, 6))
+        validate(1, BinForm.zero(4), monomial(6, 5) + V ** 6)
 
     def test_infinity_family(self):
         # orders at infinity: p has 4, q has 5: minimal
-        validate(1, V ** 4, BinForm.monomial(6, 1))
+        validate(1, V ** 4, monomial(6, 1))
         # orders (4, 6): rejected at infinity
         with pytest.raises(NonMinimal):
             validate(1, V ** 4, V ** 6)
@@ -128,7 +127,7 @@ class TestRescaleInvariance:
             assert rep.components == base.components
 
     def test_classification_invariant_under_rescaling(self):
-        t = validate(1, -3 * V ** 4, BinForm.monomial(6, 1))
+        t = validate(1, -3 * V ** 4, monomial(6, 1))
 
         def key(s):
             reports, _ = classify_fibers(s)

@@ -28,7 +28,7 @@ from ellsurf import oracle
 from ellsurf.documents import triple_from_document
 from ellsurf.fuzz import random_valid_triple
 
-from conftest import U, V
+from conftest import U, V, monomial
 
 
 class TestKnownSurfaces:
@@ -70,7 +70,7 @@ class TestKnownSurfaces:
         assert res.chi == res.vertices - res.edges + res.faces
 
     def test_not_real_generic_refused(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
+        t = validate(1, monomial(4, 2), monomial(6, 3))
         with pytest.raises(NotRealGeneric):
             oracle_topology(t)
 

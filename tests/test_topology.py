@@ -14,12 +14,12 @@ from ellsurf import (
     check_bounds,
     compare,
     finite,
-    real_type_of_nodal,
     smooth_fiber_components,
     twist,
     validate,
 )
 from ellsurf.fuzz import random_valid_triple
+from ellsurf.roots import FinitePoint, points_equal
 from ellsurf.topology import I1_MINUS, I1_PLUS
 
 from conftest import U, V
@@ -27,8 +27,9 @@ from conftest import U, V
 
 class TestRealNodalTypes:
     def test_w1_rational_points_are_connected_type(self, w1):
-        for x in (-3, -2, -1, 1, 2, 3):
-            assert real_type_of_nodal(w1, finite(x)) == I1_MINUS
+        dec = arc_decomposition(w1)
+        rational = [(pt.value, ty) for pt, ty in zip(dec.points, dec.types) if isinstance(pt, FinitePoint)]
+        assert rational == [(x, I1_MINUS) for x in (-3, -2, -1, 1, 2, 3)]
 
     def test_w1_irrational_points_are_split_type(self, w1):
         dec = arc_decomposition(w1)
@@ -39,22 +40,13 @@ class TestRealNodalTypes:
                 assert ty == I1_MINUS
 
     def test_twist_flips_all_types(self, w1):
-        t2 = twist(w1)
-        dec = arc_decomposition(t2)
-        assert dec.n_plus == 6 and dec.n_minus == 6
-        for pt, ty in zip(dec.points, dec.types):
-            expected = real_type_of_nodal(w1, pt).flipped()
-            assert ty == expected
-
-    def test_non_nodal_point_rejected(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
-        with pytest.raises(ValueError):
-            real_type_of_nodal(t, finite(0))
-
-    def test_smooth_point_rejected(self, w1):
-        # u = 0 is not a zero of the discriminant of w1 at all
-        with pytest.raises(ValueError):
-            real_type_of_nodal(w1, finite(0))
+        dec = arc_decomposition(w1)
+        dec2 = arc_decomposition(twist(w1))
+        assert dec2.n_plus == 6 and dec2.n_minus == 6
+        assert len(dec2.points) == len(dec.points)
+        for pt, pt2 in zip(dec.points, dec2.points):
+            assert points_equal(pt, pt2)
+        assert dec2.types == tuple(ty.flipped() for ty in dec.types)
 
 
 class TestSmoothFiberComponents:

@@ -1,5 +1,6 @@
 """Twist, I0* step, iteration and the extremal search."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,21 +16,21 @@ from ellsurf import (
     classify_fibers,
     discriminant,
     i0star_transform,
-    iterate_i0star,
     make_params,
     normalize,
     search_extremal,
+    sign_at,
     twist,
     validate,
     verify_i0star,
     verify_twist,
 )
 from ellsurf.fuzz import random_valid_triple
-from ellsurf.oracle import compare, oracle_topology
+from ellsurf.oracle import OracleDisagreement, compare, oracle_topology
 from ellsurf.topology import I1_MINUS, I1_PLUS, arc_decomposition
 from ellsurf.weierstrass import WeierstrassTriple
 
-from conftest import U, V
+from conftest import U, V, iterate_i0star
 
 
 
@@ -111,13 +112,10 @@ class TestI0StarTransform:
         assert discriminant(y) == r ** 6 * discriminant(w1)
 
     def test_j_preserved(self, w1):
-        from ellsurf import j_invariant
-
         params = make_params(w1, 4, 5)
         y = i0star_transform(w1, params)
-        jx, jy = j_invariant(w1), j_invariant(y)
-        # the reduced 4p^3 : 27q^2 ratios coincide
-        assert jx.ratio_num * jy.ratio_den == jy.ratio_num * jx.ratio_den
+        # j is a function of p^3 : q^2, and the two ratios coincide
+        assert w1.p ** 3 * y.q ** 2 == y.p ** 3 * w1.q ** 2
 
     def test_verify_no_flips_outside(self, w1):
         params = make_params(w1, 4, 5)
@@ -128,8 +126,6 @@ class TestI0StarTransform:
     def test_verify_exact_flip_set(self, w1):
         # centers (0, 5/2): flips exactly the four nodal points in (0, 5/2),
         # namely r4 in (0,1), u = 1, u = 2 and r5 in (2, 5/2)
-        from ellsurf import real_type_of_nodal
-
         params = make_params(w1, 0, Fraction(5, 2))
         y = i0star_transform(w1, params)
         ver = verify_i0star(w1, params, y)
@@ -137,7 +133,9 @@ class TestI0StarTransform:
         dec_x = arc_decomposition(w1)
         flipped = []
         for pt, ty in zip(dec_x.points, dec_x.types):
-            if real_type_of_nodal(y, pt) != ty:
+            # y has real I0* fibers, so its arc decomposition is refused;
+            # the nodal type of y at pt is I1- iff q_y > 0 there
+            if (I1_MINUS if sign_at(y.q, pt) > 0 else I1_PLUS) != ty:
                 flipped.append(pt)
         assert len(flipped) == 4
         values = sorted(pt.value for pt in flipped if isinstance(pt, FinitePoint))
@@ -204,6 +202,28 @@ class TestSearch:
         rep = betti(twist(res.triple))
         assert rep.h1 == 10  # h^{1,1} = 10k at k = 1
         compare(twist(res.triple))
+
+    def test_failed_bound_check_raises(self, monkeypatch):
+        import ellsurf.transforms
+
+        real = ellsurf.transforms.check_bounds
+        monkeypatch.setattr(
+            ellsurf.transforms,
+            "check_bounds",
+            lambda report, k: dataclasses.replace(real(report, k), betti_bound_ok=False),
+        )
+        with pytest.raises(AssertionError, match="bounds failed .*: betti_bound_ok$"):
+            search_extremal(1, 3, SearchBudget())
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        import ellsurf.transforms
+
+        def disagree(*args, **kwargs):
+            raise OracleDisagreement("pipeline and oracle differ")
+
+        monkeypatch.setattr(ellsurf.transforms, "compare", disagree)
+        with pytest.raises(OracleDisagreement):
+            search_extremal(1, 3, SearchBudget())
 
     def test_deterministic(self):
         a = search_extremal(1, 3, SearchBudget(max_candidates=64, rng_seed=5))

@@ -1,4 +1,4 @@
-"""Validation, discriminant, j, rescaling and Kodaira classification."""
+"""Validation, discriminant, normalization and Kodaira classification."""
 
 import math
 import random
@@ -19,15 +19,13 @@ from ellsurf import (
     WeierstrassTriple,
     classify_fibers,
     discriminant,
-    j_invariant,
     normalize,
-    rescale,
     validate,
 )
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V, interlace_sextic, poly_mul, time_limit
+from conftest import U, V, interlace_sextic, monomial, poly_mul, rescale, time_limit
 
 
 def _sympy_normalize(t):
@@ -85,12 +83,12 @@ _CONTENTS = st.lists(st.tuples(_PRIMES, st.integers(-7, 7)), max_size=3).map(_pr
 
 class TestValidate:
     def test_istar_pair_is_valid(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
-        assert discriminant(t) == BinForm.monomial(12, 6, 31)
+        t = validate(1, monomial(4, 2), monomial(6, 3))
+        assert discriminant(t) == monomial(12, 6, 31)
 
     def test_nonminimal_at_zero(self):
         with pytest.raises(NonMinimal) as err:
-            validate(1, BinForm.monomial(4, 4), BinForm.monomial(6, 6))
+            validate(1, monomial(4, 4), monomial(6, 6))
         w = err.value.witness
         assert isinstance(w, FinitePoint) and w.value == 0
 
@@ -105,7 +103,7 @@ class TestValidate:
 
     def test_shared_low_order_vanishing_at_infinity_is_fine(self):
         # p and q both vanish at infinity, but to orders (1, 1) only
-        validate(1, BinForm.monomial(4, 3), BinForm.monomial(6, 5))
+        validate(1, monomial(4, 3), monomial(6, 5))
 
     def test_degree_mismatch(self):
         with pytest.raises(WeierstrassError):
@@ -124,8 +122,8 @@ class TestDiscriminant:
         assert discriminant(t) == 27 * V ** 12
 
     def test_monomials(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
-        assert discriminant(t) == BinForm.monomial(12, 6, 31)
+        t = validate(1, monomial(4, 2), monomial(6, 3))
+        assert discriminant(t) == monomial(12, 6, 31)
 
     def test_built_once_per_triple(self, w1):
         assert discriminant(w1) is discriminant(w1)
@@ -152,35 +150,10 @@ class TestDiscriminant:
         assert delta.coeffs == tuple(4 * a + 27 * b for a, b in zip(p3, q2))
 
 
-class TestJInvariant:
-    def test_p_zero_gives_j_zero(self):
-        t = validate(1, BinForm.zero(4), BinForm.monomial(6, 6) + BinForm.monomial(6, 0))
-        j = j_invariant(t)
-        assert j.ratio_num.is_zero
-
-    def test_q_zero_standard_j_1728(self):
-        p = (U * U - V * V) * (U * U - 4 * V * V)
-        t = validate(1, p, BinForm.zero(6))
-        j = j_invariant(t)
-        assert j.ratio_degenerate
-        assert j.standard_num == BinForm.make(0, [1728])
-        assert j.standard_den == BinForm.make(0, [1])
-
-    def test_constant_ratio(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
-        j = j_invariant(t)
-        assert j.ratio_num == BinForm.make(0, [4])
-        assert j.ratio_den == BinForm.make(0, [27])
-
-
 class TestRescaleNormalize:
     def test_rescale_identity_cases(self, w1):
         assert rescale(w1, Fraction(1)) == w1
         assert rescale(w1, Fraction(-1)) == w1  # even powers of lambda
-
-    def test_rescale_zero_rejected(self, w1):
-        with pytest.raises(WeierstrassError):
-            rescale(w1, Fraction(0))
 
     def test_rescale_arithmetic(self):
         t = WeierstrassTriple(1, V ** 4, V ** 6)
@@ -205,9 +178,9 @@ class TestRescaleNormalize:
         assert normalize(n) == n
 
     def test_normalize_on_valid_triple(self):
-        t = validate(1, 16 * BinForm.monomial(4, 2), 64 * BinForm.monomial(6, 3))
+        t = validate(1, 16 * monomial(4, 2), 64 * monomial(6, 3))
         n = normalize(t)
-        assert n.p == BinForm.monomial(4, 2) and n.q == BinForm.monomial(6, 3)
+        assert n.p == monomial(4, 2) and n.q == monomial(6, 3)
 
     def test_normalize_postconditions_on_fuzzed(self):
         rng = random.Random(321)
@@ -303,20 +276,20 @@ class TestKodairaTable:
 
 class TestClassify:
     def test_two_istar_fibers(self):
-        t = validate(1, BinForm.monomial(4, 2), BinForm.monomial(6, 3))
+        t = validate(1, monomial(4, 2), monomial(6, 3))
         reports, inv = classify_fibers(t)
         assert sorted(r.kodaira.symbol for r in reports) == ["I0*", "I0*"]
         assert all((r.v_p, r.v_q, r.v_delta) == (2, 3, 6) for r in reports)
         assert inv.chi_top == 12 and inv.h11 == 10 and inv.b2 == 10
 
     def test_iistar_plus_nodal(self):
-        t = validate(1, -3 * V ** 4, BinForm.monomial(6, 1))
+        t = validate(1, -3 * V ** 4, monomial(6, 1))
         reports, _ = classify_fibers(t)
         by_symbol = sorted((r.kodaira.symbol, str(r.location)) for r in reports)
         assert by_symbol == [("I1", "-2"), ("I1", "2"), ("II*", "inf")]
 
     def test_conjugate_pairs_only(self):
-        t = validate(1, BinForm.zero(4), BinForm.monomial(6, 6) + BinForm.monomial(6, 0))
+        t = validate(1, BinForm.zero(4), monomial(6, 6) + monomial(6, 0))
         reports, _ = classify_fibers(t)
         assert all(not r.is_real for r in reports)
         assert all(r.kodaira.symbol == "II" for r in reports)
@@ -342,8 +315,8 @@ class TestClassify:
     def test_istar_n_fiber(self):
         # p = -3 u^2 v^2, q = u^3 v^2 (2v + u): orders (2, 3, 7) at 0 give I1*,
         # (2, 2, 4) at infinity give IV, and the leftover simple zero is I1
-        p = -3 * BinForm.monomial(4, 2)
-        q = BinForm.monomial(6, 3, 2) + BinForm.monomial(6, 4)
+        p = -3 * monomial(4, 2)
+        q = monomial(6, 3, 2) + monomial(6, 4)
         t = validate(1, p, q)
         reports, inv = classify_fibers(t)
         table = {str(r.location): (r.kodaira.symbol, r.kodaira.euler_number) for r in reports}
