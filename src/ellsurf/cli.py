@@ -29,7 +29,7 @@ from .documents import (
 )
 from .fuzz import run_fuzz
 from .oracle import OracleDisagreement, compare
-from .topology import NotRealGeneric, betti, check_bounds
+from .topology import NotRealGeneric, check_bounds
 from .transforms import (
     InvalidI0StarParams,
     SearchBudget,
@@ -40,7 +40,7 @@ from .transforms import (
     verify_i0star,
     verify_twist,
 )
-from .weierstrass import NonMinimal, WeierstrassError, classify_fibers
+from .weierstrass import NonMinimal, SurfaceInvariants, WeierstrassError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,14 +77,13 @@ def validate(file):
 
 
 def _full_report_document(t) -> dict:
-    reports, inv = classify_fibers(t)
     doc = {
         "triple": triple_to_document(t),
-        "invariants": invariants_to_document(inv),
-        "fibers": [fiber_to_document(r) for r in reports],
+        "invariants": invariants_to_document(SurfaceInvariants.for_k(t.k)),
+        "fibers": [fiber_to_document(r) for r in t.fibers],
     }
     try:
-        rep = betti(t, reports)
+        rep = t.topology
     except NotRealGeneric as exc:
         doc["real_topology"] = not_real_generic_to_document(exc)
         return doc

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 from .binform import BinForm
 from .documents import triple_to_document
 from .oracle import OracleDisagreement, compare
-from .topology import NotRealGeneric, betti, check_bounds
+from .topology import NotRealGeneric, check_bounds
 from .transforms import (
     InvalidI0StarParams,
     i0star_transform,
@@ -29,12 +29,7 @@ from .transforms import (
     twist,
     verify_i0star,
 )
-from .weierstrass import (
-    WeierstrassError,
-    WeierstrassTriple,
-    classify_fibers,
-    validate,
-)
+from .weierstrass import WeierstrassError, WeierstrassTriple, validate
 
 
 def random_form(rng: random.Random, degree: int, height: int) -> BinForm:
@@ -105,13 +100,13 @@ def run_fuzz(
     for index in range(trials):
         t = random_valid_triple(rng, k, height)
         try:
-            reports, inv = classify_fibers(t)
+            t.fibers  # classified apart from betti: its own violation kind
         except AssertionError as exc:
             _record_violation(summary, "euler-sum", str(exc), t)
             continue
 
         try:
-            report = betti(t, reports)
+            report = t.topology
         except NotRealGeneric:
             summary.non_generic += 1
             continue
@@ -131,9 +126,8 @@ def run_fuzz(
                 t,
             )
 
-        t2 = twist(t)
         try:
-            report2 = betti(t2)
+            report2 = twist(t).topology
         except (NotRealGeneric, AssertionError) as exc:
             _record_violation(summary, "twist-betti", str(exc), t)
             continue
@@ -154,7 +148,7 @@ def run_fuzz(
 
         if oracle_every and index % oracle_every == 0:
             try:
-                compare(t, reports)
+                compare(t)
                 summary.oracle_checked += 1
             except OracleDisagreement as exc:
                 _record_violation(summary, "oracle", str(exc), t)

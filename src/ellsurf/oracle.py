@@ -3,19 +3,18 @@
 The base circle is sliced at every real zero of the discriminant (the
 cuts) and at one rational sample inside every arc.  Where the cuts lie
 and which rational point samples each arc come from the pipeline
-(topology.real_cuts and topology.arc_samples); every verdict below is
-computed here from the fiber cubics.  At a sample the fiber is a smooth
-real cubic whose real roots are counted exactly: one root gives a
-single circle through the section point at infinity (the "branch"),
-three roots give that branch plus a compact oval over the two lower
-roots.  At a nodal cut the fiber either keeps one circle with an
-extra isolated point (the oval family collapses) or degenerates to a
-wedge of two circles (the oval meets the branch); which one is decided
-from the double root of the degenerate cubic, not from any convention
-used by the main pipeline: at a rational cut the double root x0 and the
-simple root b = -2 x0 are computed and compared exactly, and at an
-irrational cut the sign of x0 = -3q / 2p decides (p < 0 at a node is
-asserted, never assumed).
+(t.topology.arcs); every verdict below is computed here from the fiber
+cubics.  At a sample the fiber is a smooth real cubic whose real roots
+are counted exactly: one root gives a single circle through the section
+point at infinity (the "branch"), three roots give that branch plus a
+compact oval over the two lower roots.  At a nodal cut the fiber either
+keeps one circle with an extra isolated point (the oval family
+collapses) or degenerates to a wedge of two circles (the oval meets the
+branch).  At a rational cut the double root x0 and the simple root
+b = -2 x0 of the degenerate cubic are computed and compared exactly.  At
+an irrational cut the sign of x0 = -3q / 2p decides (p < 0 at a node is
+asserted), which is the sign of q: the pipeline's own rule
+(topology._nodal_type_unchecked), so there the oracle is not independent.
 
 The pieces assemble into a cell complex: every fiber circle is a vertex
 plus a loop edge, an isolated point a bare vertex, a wedge a vertex with
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import _intpoly as ip
 from .roots import (
@@ -44,8 +43,7 @@ from .roots import (
     compare_finite,
     sign_at,
 )
-from .topology import ArcDecomposition, arc_samples, betti, real_cuts
-from .weierstrass import FiberReport, WeierstrassTriple, classify_fibers
+from .weierstrass import WeierstrassTriple
 
 
 class OracleDisagreement(AssertionError):
@@ -158,39 +156,25 @@ def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
 _LOOPS = {"oval": 1, "branch": 1, "circle": 1, "cap": 0, "wedge": 2}
 
 
-def oracle_topology(
-    t: WeierstrassTriple,
-    extra_samples: Sequence[Fraction] = (),
-    reports: Optional[List[FiberReport]] = None,
-    arcs: Optional[ArcDecomposition] = None,
-) -> OracleResult:
+def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()) -> OracleResult:
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
-    extra_samples inserts more rational slice points (they must not be
-    zeros of the discriminant); the output must not depend on them.  Only
-    the tests pass it: it is how they check that the oracle's answer does
-    not depend on the arc samples the pipeline chose.
-    reports, when given, is the fiber classification of t.  arcs, when
-    given, is the pipeline's arc decomposition of t: its ordered cuts
-    and arc samples are used as they are, and every slice is still
-    computed here.
+    The ordered cuts and arc samples are those of t.topology.arcs (none
+    for a circle bundle); every slice is computed here.  extra_samples
+    inserts more rational slice points (they must not be zeros of the
+    discriminant); the output must not depend on them.  Only the tests
+    pass it: it is how they check that the oracle's answer does not
+    depend on the arc samples the pipeline chose.
     """
-    if arcs is not None:
-        cuts = list(arcs.points)
-        samples = [a.sample for a in arcs.arcs]
-    else:
-        if reports is None:
-            reports, _ = classify_fibers(t)
-        cuts = real_cuts(reports)
-        samples = arc_samples(cuts)
-    if not cuts:
+    arcs = t.topology.arcs
+    if arcs is None:
         slices = [_sample_slice(t, FinitePoint(Fraction(0))), _sample_slice(t, INFINITY)]
     else:
         # circle order: each cut, then the sample of the arc after it
         slices = []
-        for cut, sample in zip(cuts, samples):
-            slices += [_cut_slice(t, cut), _sample_slice(t, sample)]
-        if isinstance(cuts[-1], InfinityPoint):
+        for arc in arcs.arcs:
+            slices += [_cut_slice(t, arc.start), _sample_slice(t, arc.sample)]
+        if isinstance(arcs.points[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
             slices.insert(0, slices.pop())
     for x in extra_samples:
@@ -269,16 +253,14 @@ class Agreement:
     oracle: OracleResult
 
 
-def compare(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> Agreement:
+def compare(t: WeierstrassTriple) -> Agreement:
     """Assert the arc-formula topology equals the oracle topology exactly.
 
-    reports, when given, is the fiber classification of t; both sides use
-    it, and the oracle takes its cuts and arc samples from betti's arcs.
+    Both sides read t.topology: the oracle takes its cuts and arc
+    samples from it.
     """
-    if reports is None:
-        reports, _ = classify_fibers(t)
-    report = betti(t, reports)
-    result = oracle_topology(t, reports=reports, arcs=report.arcs)
+    report = t.topology
+    result = oracle_topology(t)
     mine = (report.h0, report.h1, report.chi_top)
     if mine != result.triple():
         trace = "; ".join(

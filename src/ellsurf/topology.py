@@ -19,7 +19,8 @@ root of the fiber cubic: writing the degenerate fiber as
 y^2 = (x - a)^2 (x + 2a), the node has real tangents iff a > 0 iff
 q > 0 at the point.  Likewise a smooth fiber has two circles iff the
 cubic has three real roots iff the discriminant is negative there.
-Both conventions are validated against the oracle, never assumed.
+The oracle checks both, but at an irrational cut it reads the node type
+by the same sign of q.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from .roots import (
     sample_between,
     sign_at,
 )
-from .weierstrass import (
-    FiberReport,
-    WeierstrassTriple,
-    classify_fibers,
-    discriminant,
-)
+from .weierstrass import FiberReport, WeierstrassTriple, discriminant
 
 
 class NotRealGeneric(Exception):
@@ -115,15 +111,13 @@ class ArcDecomposition:
     n_minus: int
 
 
-def arc_decomposition(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> ArcDecomposition:
+def arc_decomposition(t: WeierstrassTriple) -> ArcDecomposition:
     """Singular points in cyclic order with nodal types and arc data.
 
     Requires at least one real singular fiber with every real zero of
     the discriminant simple; otherwise NotRealGeneric is raised.
     """
-    if reports is None:
-        reports, _ = classify_fibers(t)
-    points = real_cuts(reports)
+    points = real_cuts(t.fibers)
     if not points:
         raise NotRealGeneric([])
     types = tuple(_nodal_type_unchecked(t, c) for c in points)
@@ -204,6 +198,8 @@ class BoundChecks:
     h1: int
     component_bound_ok: bool  # h0 <= 5k
     betti_bound_ok: bool  # h1 <= 10k
+    # the last two hold by construction: betti sets h1 = 2 + 2 arc_minus
+    # (2 h0 for a circle bundle) and orientable = (k even)
     h1_even_ok: bool
     orientability_ok: bool  # orientable iff k even
 
@@ -237,18 +233,17 @@ class RealTopologyReport:
         return self.h0 + self.h1 + self.h2
 
 
-def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> RealTopologyReport:
+def betti(t: WeierstrassTriple) -> RealTopologyReport:
     """Mod-2 Betti numbers, Euler characteristic and component types.
 
     Real-generic surfaces with at least one real nodal fiber use the arc
     formulas; surfaces with no real singular fiber are circle bundles
     over the circle with one or two torus/Klein components by the sign
     of the discriminant.  Everything else raises NotRealGeneric.
+    WeierstrassTriple.topology keeps the result on the triple.
     """
-    if reports is None:
-        reports, _ = classify_fibers(t)
     orientable = t.k % 2 == 0
-    if not any(r.is_real for r in reports):
+    if not any(r.is_real for r in t.fibers):
         # Delta has no real zero, so any real point samples the circle bundle
         h0 = smooth_fiber_components(t, FinitePoint(Fraction(0)))
         label = "S1" if orientable else "V2"
@@ -261,7 +256,7 @@ def betti(t: WeierstrassTriple, reports: Optional[List[FiberReport]] = None) -> 
             components=tuple([label] * h0),
             arcs=None,
         )
-    dec = arc_decomposition(t, reports)
+    dec = arc_decomposition(t)
     h0 = 1 + dec.arc_plus
     h1 = 2 + 2 * dec.arc_minus
     chi = dec.n_plus - dec.n_minus

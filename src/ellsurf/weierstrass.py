@@ -59,6 +59,22 @@ class WeierstrassTriple:
         """The discriminant 4 p^3 + 27 q^2, built on first use and kept."""
         return 4 * self.p ** 3 + 27 * self.q ** 2
 
+    @functools.cached_property
+    def fibers(self) -> Tuple[FiberReport, ...]:
+        """The fiber reports of classify_fibers, built on first use and kept."""
+        return tuple(classify_fibers(self)[0])
+
+    @functools.cached_property
+    def topology(self):
+        """The RealTopologyReport of topology.betti, built on first use and kept.
+
+        Raises NotRealGeneric, uncached, when some real singular fiber is
+        not nodal.
+        """
+        from .topology import betti  # topology imports weierstrass
+
+        return betti(self)
+
 
 def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     """Check degrees, nonzero discriminant and minimality; return the triple.

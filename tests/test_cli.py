@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,27 @@ from conftest import U, V, monomial
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
+
+
+def _flip_cuts(monkeypatch, flip):
+    """Make the oracle read the other pattern at the cuts where flip(i) holds,
+    i counting every cut slice the oracle builds from 0."""
+    import ellsurf.oracle
+
+    cut_slice = ellsurf.oracle._cut_slice
+    built = []
+
+    def flipping(t, pt):
+        s = cut_slice(t, pt)
+        built.append(s)
+        if not flip(len(built) - 1):
+            return s
+        if s.pattern == "collapse":
+            return dataclasses.replace(s, comps=("wedge",), pattern="join")
+        return dataclasses.replace(s, comps=("cap", "circle"), pattern="collapse")
+
+    monkeypatch.setattr(ellsurf.oracle, "_cut_slice", flipping)
+
 
 @pytest.fixture()
 def runner():
@@ -281,6 +303,15 @@ class TestFuzzCommand:
         assert result.exit_code == 0, result.output
         assert "oracle_checked=0" in result.output
 
+    def test_oracle_disagreement_is_a_violation(self, runner, monkeypatch):
+        _flip_cuts(monkeypatch, lambda i: i % 2 == 0)
+        result = runner.invoke(
+            main, ["fuzz", "--k", "1", "--trials", "3", "--oracle-every", "1"]
+        )
+        assert result.exit_code == 1, result.output
+        assert "\nVIOLATION[oracle]: pipeline (h0, h1, chi) = " in result.output
+        assert '"violating_triple": {' in result.output
+
 
 class TestSearchCommand:
     def test_too_many_components_rejected(self, runner):
@@ -313,23 +344,30 @@ class TestSearchCommand:
         assert betti(load_triple(out)).h0 == 2
 
     def test_prints_the_verified_topology(self, runner, monkeypatch):
-        import ellsurf.cli
+        import ellsurf.topology
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("search must not classify the found surface again")
+        seen = []
+        betti = ellsurf.topology.betti
 
-        monkeypatch.setattr(ellsurf.cli, "betti", refuse)
+        def recording(t):
+            seen.append(t)
+            return betti(t)
+
+        monkeypatch.setattr(ellsurf.topology, "betti", recording)
         result = runner.invoke(main, ["search", "--k", "1", "--components", "5"])
         assert result.exit_code == 0, result.output
-        assert "h0=5 h1=2 chi=8" in result.output
+        assert result.output.startswith("found after 1 candidate(s): h0=5 h1=2 chi=8\n")
+        # once, on the one candidate: neither compare nor the command
+        # computes the topology again
+        assert len(seen) == len(set(seen)) == 1
 
     def test_failed_invariant_is_a_violation(self, runner, monkeypatch):
-        import ellsurf.transforms
+        import ellsurf.topology
 
         def broken(*args, **kwargs):
             raise AssertionError("Euler characteristic mismatch")
 
-        monkeypatch.setattr(ellsurf.transforms, "betti", broken)
+        monkeypatch.setattr(ellsurf.topology, "betti", broken)
         result = runner.invoke(main, ["search", "--k", "1", "--components", "3"])
         assert result.exit_code == 1, result.output
         assert result.output == "VIOLATION: Euler characteristic mismatch\n"
@@ -341,3 +379,17 @@ class TestOracleCheckCommand:
         assert result.exit_code == 0
         assert "agree" in result.output
 
+    def test_disagreement_exits_1(self, runner, monkeypatch):
+        _flip_cuts(monkeypatch, lambda i: i == 0)
+        result = runner.invoke(main, ["oracle-check", str(GOLDEN / "w1.triple.json")])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            "DISAGREEMENT: pipeline (h0, h1, chi) = (1, 2, 0) "
+            "but oracle computed (2, 2, 2)\nslices: "
+        )
+
+    def test_non_nodal_fiber_is_not_applicable(self, runner):
+        path = str(GOLDEN / "istar-refusal.triple.json")
+        result = runner.invoke(main, ["oracle-check", path])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("not applicable: non-nodal real singular fibers: ")

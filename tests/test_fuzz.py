@@ -46,3 +46,31 @@ class TestHarness:
         lines = summary.lines()
         assert lines[0].startswith("fuzz k=1 trials=10 seed=2")
         assert any(line.startswith("histogram") for line in lines)
+
+
+class TestWorkDoneOnce:
+    def test_each_triple_is_classified_and_through_betti_once(self, monkeypatch):
+        import ellsurf.topology
+        import ellsurf.weierstrass
+
+        classified, topologies = [], []
+        classify_fibers = ellsurf.weierstrass.classify_fibers
+        betti = ellsurf.topology.betti
+
+        def recording_classify(t):
+            classified.append(t)
+            return classify_fibers(t)
+
+        def recording_betti(t):
+            topologies.append(t)
+            return betti(t)
+
+        monkeypatch.setattr(ellsurf.weierstrass, "classify_fibers", recording_classify)
+        monkeypatch.setattr(ellsurf.topology, "betti", recording_betti)
+        # seed 2 has one non-generic trial and one I0* step
+        summary = run_fuzz(1, 10, seed=2, oracle_every=1)
+        assert summary.ok
+        assert summary.oracle_checked == 9 and summary.i0star_checked == 1
+        assert len(classified) >= 10
+        for seen in (classified, topologies):
+            assert seen and len(set(seen)) == len(seen)
