@@ -169,9 +169,11 @@ def verify_i0star(
     - the discriminant relation Delta_Y = (u-av)^6 (u-bv)^6 Delta holds
       identically;
     - k goes up by exactly one and the Euler sum by exactly 12;
-    - the fibers of t_y at a and b have valuations (2, 3, 6), type I0*;
+    - the fibers of t_y at a and b have valuations (2, 3, 6), type I0*,
+      with no valuation of p (of q) when p (q) is identically zero;
     - away from a, b the complex fiber list is unchanged;
-    - real nodal types flip exactly on the open interval (a, b).
+    - real nodal types flip exactly on the open interval (a, b); this
+      holds by construction.
     """
     checks: List[CheckItem] = []
     r = BinForm.from_linear_roots([params.a, params.b])
@@ -200,11 +202,13 @@ def verify_i0star(
         )
     )
 
+    # r^2 * 0 = 0: a zero p (or q) gives the new fibers no v_p (or v_q)
+    expected = (None if t.p.is_zero else 2, None if t.q.is_zero else 3, 6)
     for x in (params.a, params.b):
         rep = _report_at_rational(reports_y, x)
         ok = (
             rep is not None
-            and (rep.v_p, rep.v_q, rep.v_delta) == (2, 3, 6)
+            and (rep.v_p, rep.v_q, rep.v_delta) == expected
             and rep.kodaira.symbol == "I0*"
         )
         checks.append(CheckItem("new_fiber_is_I0star", ok, f"at u = {x}"))
@@ -219,6 +223,9 @@ def verify_i0star(
         )
     )
 
+    # holds by construction: both sides read sign(q), on X and on
+    # Y = r^3 q, so this repeats the sign of r, which _strictly_between
+    # decides on its own
     flips_ok = True
     flip_detail = []
     for rep in reports_x:
@@ -317,9 +324,11 @@ def search_extremal(k_target: int, h0_target: int, budget: SearchBudget) -> Sear
     family p = -3g^2, q = 2g^3 + eps*h built to produce h0_target - 1
     two-circle arcs with matching nodal signs after a twist; eps runs
     down a deterministic ladder of binary scales until the verifier
-    accepts.  Every returned triple has passed validation, topology,
-    bound checks and exact oracle agreement.  A candidate that fails an
-    invariant raises AssertionError instead of being skipped.
+    accepts.  Rungs that provably miss h0_target count against the
+    budget but are not built.  Every returned triple has passed
+    validation, topology, bound checks and exact oracle agreement.  A
+    candidate that fails an invariant raises AssertionError instead of
+    being skipped.
     """
     if h0_target < 1:
         return SearchResult(None, 0, "h0 must be at least 1")
@@ -339,11 +348,24 @@ def search_extremal(k_target: int, h0_target: int, budget: SearchBudget) -> Sear
     rng = random.Random(budget.rng_seed)
     for jitter in range(4):
         offset = 0 if jitter == 0 else rng.randrange(1, 4)
-        for j in _eps_ladder(k_target, pairs, dips, offset):
+        g, h = _family_g_h(k_target, pairs, dips, offset)
+        p, two_g3 = -3 * g ** 2, 2 * g ** 3
+        # With no dips, g > 0, and h > 0 at the center c of each root
+        # pair.  For j < j_min, W = 4g^3 - 2^-j h is <= 0 at some c, while
+        # W = 4g^3 > 0 at the ends of c's window: W has a root there, and
+        # the candidate misses h0 = 1 + pairs.  Such a rung counts as
+        # tried but is neither built nor verified.
+        j_min = None
+        if dips == 0:
+            centers = [10 * (i + 1) + offset + Fraction(3, 2) for i in range(pairs)]
+            j_min = _scale_threshold(g, h, centers)
+        for j in _eps_ladder(g, h, k_target, dips, offset):
             if tried >= budget.max_candidates:
                 return SearchResult(None, tried, "candidate budget exhausted")
             tried += 1
-            cand = _build_candidate(k_target, pairs, dips, j, offset)
+            if j_min is not None and j < j_min:
+                continue
+            cand = _build_candidate(k_target, p, two_g3, h, j)
             if cand is None:
                 continue
             verified = _verify_candidate(cand, k_target, h0_target)
@@ -363,7 +385,18 @@ def _floor_log2(x: Fraction) -> int:
     return e
 
 
-def _eps_ladder(k: int, pairs: int, dips: int, offset: int) -> List[int]:
+def _scale_threshold(g: BinForm, h: BinForm, centers: Sequence[Fraction]) -> Optional[int]:
+    """The least j with 2^-j |h(c)| < 4 |g(c)|^3 at every center c.
+
+    None when there is no center.
+    """
+    return max(
+        (_floor_log2(abs(h.evaluate(c)) / (4 * abs(g.evaluate(c)) ** 3)) + 1 for c in centers),
+        default=None,
+    )
+
+
+def _eps_ladder(g: BinForm, h: BinForm, k: int, dips: int, offset: int) -> List[int]:
     """Deterministic sequence of binary scales j for eps = -2^-j.
 
     Inside a sign window g^3 < 0 and h < 0, so W = 4g^3 + eps*h dips
@@ -375,12 +408,8 @@ def _eps_ladder(k: int, pairs: int, dips: int, offset: int) -> List[int]:
     sweep = list(range(0, 128)) + list(range(-1, -64, -1))
     if dips == 0:
         return sweep
-    g, h = _family_g_h(k, pairs, dips, offset)
-    j_floor = 0
-    for d in range(dips):
-        center = Fraction(100 * k + 20 * d + offset + 5)
-        ratio = abs(h.evaluate(center)) / (4 * abs(g.evaluate(center)) ** 3)
-        j_floor = max(j_floor, _floor_log2(ratio) + 1)
+    centers = [Fraction(100 * k + 20 * d + offset + 5) for d in range(dips)]
+    j_floor = max(0, _scale_threshold(g, h, centers))
     guided = [j_floor + i for i in range(0, 18)]
     seen = set()
     out = []
@@ -419,17 +448,15 @@ def _family_g_h(k: int, pairs: int, dips: int, offset: int) -> Tuple[BinForm, Bi
 
 
 def _build_candidate(
-    k: int, pairs: int, dips: int, j: int, offset: int
+    k: int, p: BinForm, two_g3: BinForm, h: BinForm, j: int
 ) -> Optional[WeierstrassTriple]:
     """One member of the steerable family, before any verification.
 
-    Builds Y with arc_minus = pairs + dips and twists it, so the result
-    aims at h0 = pairs + dips + 1.
+    Builds Y = (p, 2g^3 - 2^-j h), with p = -3g^2 and arc_minus = pairs +
+    dips, and twists it, so the result aims at h0 = pairs + dips + 1.
     """
-    g, h = _family_g_h(k, pairs, dips, offset)
     eps = -(Fraction(1, 2) ** j)
-    p = -3 * g ** 2
-    q = 2 * g ** 3 + eps * h
+    q = two_g3 + eps * h
     try:
         y = validate(k, p, q)
     except WeierstrassError:

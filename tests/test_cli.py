@@ -154,6 +154,14 @@ class TestReportCommand:
         assert "real_topology" in doc and "refused" in doc["real_topology"]
         assert len(doc["fibers"]) == 2
 
+    def test_refused_topology_text(self, runner):
+        path = str(GOLDEN / "istar-refusal.triple.json")
+        result = runner.invoke(main, ["report", path])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(
+            "\ntopology refused: non-nodal real singular fibers (I0*, I0*)\n"
+        )
+
     def test_bundle_has_no_caveat(self, runner, tmp_path):
         # Delta > 0 on the whole circle: one component, which the oracle confirms
         t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
@@ -259,6 +267,17 @@ class TestTransformCommand:
         doc = json.loads(result.output[result.output.index("{"):])
         assert doc["k"] == 2
 
+    @pytest.mark.parametrize(
+        "name", ["bundle-positive-delta", "bundle-k2-one-torus", "double-real-root-refusal"]
+    )
+    def test_i0star_verify_with_p_identically_zero(self, runner, name):
+        # r^2 * 0 = 0: the new I0* fibers have no valuation of p
+        path = str(GOLDEN / f"{name}.triple.json")
+        result = runner.invoke(main, ["transform", path, "--i0star", "4", "5", "--verify"])
+        assert result.exit_code == 0, result.output
+        checks = result.output[: result.output.index("{")].splitlines()
+        assert [c.split(": ", 1)[1] for c in checks] == ["ok"] * 7, result.output
+
     def test_i0star_equal_centers(self, runner, w1_file):
         result = runner.invoke(main, ["transform", w1_file, "--i0star", "1", "1"])
         assert result.exit_code == 2
@@ -342,6 +361,46 @@ class TestSearchCommand:
         from ellsurf.documents import load_triple
 
         assert betti(load_triple(out)).h0 == 2
+
+    def test_rungs_below_the_bound_are_not_built(self, runner, monkeypatch):
+        # (3, 8) has no sign window: its rungs j = 0..5 lie below j_min = 6,
+        # count as tried, and are neither built nor verified
+        import ellsurf.transforms
+
+        built = []
+        validate = ellsurf.transforms.validate
+
+        def counting(*args):
+            built.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(ellsurf.transforms, "validate", counting)
+        result = runner.invoke(main, ["search", "--k", "3", "--components", "8"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("found after 7 candidate(s): h0=8 h1=2 chi=14\n")
+        assert len(built) == 1
+
+    def test_unreachable_target_exits_1(self, runner):
+        result = runner.invoke(main, ["search", "--k", "2", "--components", "10"])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            "not found: target needs more sign windows than this family provides "
+            "(pairs=6, dips=3, k=2) (tried 0)\n"
+        )
+
+    def test_budget_exhausted_exits_1(self, runner, monkeypatch):
+        # all five rungs lie below j_min = 11 of (3, 9): none is built
+        import ellsurf.transforms
+
+        def refuse(*args):
+            raise AssertionError("a rung below j_min was built")
+
+        monkeypatch.setattr(ellsurf.transforms, "validate", refuse)
+        result = runner.invoke(
+            main, ["search", "--k", "3", "--components", "9", "--budget", "5"]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output == "not found: candidate budget exhausted (tried 5)\n"
 
     def test_prints_the_verified_topology(self, runner, monkeypatch):
         import ellsurf.topology

@@ -19,7 +19,7 @@ def test_report_json_bytes(triple):
     assert result.output == expected.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("k,components", [(1, 5), (2, 4)])
+@pytest.mark.parametrize("k,components", [(1, 5), (2, 4), (3, 9)])
 def test_search_out_bytes(tmp_path, k, components):
     out = tmp_path / "found.json"
     result = CliRunner().invoke(

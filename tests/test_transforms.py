@@ -27,8 +27,8 @@ from ellsurf import (
 )
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement, compare, oracle_topology
-from ellsurf.topology import I1_MINUS, I1_PLUS, arc_decomposition
-from ellsurf.weierstrass import WeierstrassTriple
+from ellsurf.topology import I1_MINUS, I1_PLUS, NotRealGeneric, arc_decomposition
+from ellsurf.weierstrass import WeierstrassError, WeierstrassTriple
 
 from conftest import U, V, iterate_i0star
 
@@ -146,6 +146,21 @@ class TestI0StarTransform:
         mids = sorted((pt.lo + pt.hi) / 2 for pt in irrational)
         assert 0 < mids[0] < 1 and 2 < mids[1] < Fraction(5, 2)
 
+    def test_verify_with_q_identically_zero(self):
+        # r^3 * 0 = 0: the new I0* fibers have no valuation of q
+        t = validate(1, U ** 4 - V ** 4, BinForm.zero(6))
+        params = make_params(t, 4, 5)
+        y = i0star_transform(t, params)
+        ver = verify_i0star(t, params, y)
+        assert ver.ok, ver.failures()
+        reports, _ = classify_fibers(y)
+        at_centers = [
+            r for r in reports if isinstance(r.location, FinitePoint) and r.location.value in (4, 5)
+        ]
+        assert [(r.v_p, r.v_q, r.v_delta, r.kodaira.symbol) for r in at_centers] == [
+            (2, None, 6, "I0*")
+        ] * 2
+
     def test_sum_euler_grows_by_12(self, w1):
         params = make_params(w1, 4, 5)
         y = i0star_transform(w1, params)
@@ -253,3 +268,34 @@ class TestSearch:
         res = search_extremal(2, 10, SearchBudget(max_candidates=64, rng_seed=0))
         assert not res.found
         assert "windows" in res.reason
+
+    def test_skipped_rungs_miss_h0(self, monkeypatch):
+        # Reference for the skip in search_extremal: every rung it counts
+        # but does not build, run through the whole pipeline, misses h0.
+        import ellsurf.transforms as tr
+
+        built = []
+        build = tr._build_candidate
+
+        def recording(k, p, two_g3, h, j):
+            built.append(j)
+            return build(k, p, two_g3, h, j)
+
+        monkeypatch.setattr(tr, "_build_candidate", recording)
+        skipped = 0
+        for k in (1, 2, 3):
+            for target in range(2, 3 * k + 2):  # dips == 0: pairs = target - 1
+                built.clear()
+                res = search_extremal(k, target, SearchBudget(max_candidates=128))
+                assert res.found, res.reason
+                g, h = tr._family_g_h(k, target - 1, 0, 0)
+                ladder = tr._eps_ladder(g, h, k, 0, 0)[: res.candidates_tried]
+                for j in (j for j in ladder if j not in built):
+                    skipped += 1
+                    q = 2 * g ** 3 - Fraction(1, 2) ** j * h
+                    try:
+                        h0 = twist(validate(k, -3 * g ** 2, q)).topology.h0
+                    except (WeierstrassError, NotRealGeneric):
+                        continue
+                    assert h0 < target, (k, target, j)
+        assert skipped == 36
