@@ -7,10 +7,11 @@ input clears denominators first, since only signs, root locations and
 exact divisibility matter here.
 
 This module is the exact kernel underneath the binary-form layer: gcd
-and squarefree decomposition, rational roots by p-adic lifting, Sturm
-chains with exact rational endpoints, and bisection-based real root
-isolation.  Nothing is ever factored into irreducibles.  No floating
-point anywhere.
+and squarefree decomposition, rational roots by p-adic lifting,
+continued-fraction real root isolation that returns the intervals of
+dyadic bisection, Descartes' rule of signs on an interval, and Sturm
+chains, which only the oracle's root counts use.  Nothing is ever
+factored into irreducibles.  No floating point anywhere.
 
 gcd is heuristic first (GCDHEU; Char, Geddes & Gonnet 1989): the
 integer gcd of the values at a large integer xi is read back as a
@@ -28,9 +29,12 @@ and the quotients equal those of division over Q.
 Isolation takes what rational_roots leaves: squarefree, primitive,
 lc > 0 and without a rational root.  Every root it meets is therefore
 irrational and comes back as an open interval; a rational root hit
-during bisection is a broken contract and raises ValueError.  The
-bisection carries the Sturm sign variations at both ends of each
-interval down the tree, so each midpoint is evaluated once.
+on the way is a broken contract and raises ValueError.  The roots are
+isolated by the continued-fraction method (integer Taylor shifts,
+x -> 1 / (1 + x) and Descartes' rule), and the intervals handed out
+are those that Sturm bisection of the Cauchy interval gives, rebuilt
+from the continued-fraction ones with one evaluation per split at
+most.
 """
 
 from __future__ import annotations
@@ -379,20 +383,16 @@ def rational_roots(f: IntPoly) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and real root isolation
+# Sturm chains: the oracle's root counts of its fiber cubics
 
 
 def sturm_chain(f: IntPoly) -> list:
-    """Sturm chain of the squarefree part of f, as primitive integer polys."""
-    return _sturm_chain_sqf(squarefree_part(f))
-
-
-def _sturm_chain_sqf(f0: IntPoly) -> list:
-    """Sturm chain of f0, which must be squarefree, primitive with lc > 0.
+    """Sturm chain of the squarefree part of f, as primitive integer polys.
 
     Each remainder is negated and rescaled by a positive rational only,
     so the sign structure of the textbook chain is preserved exactly.
     """
+    f0 = squarefree_part(f)
     chain = [f0, primitive(derivative(f0))]
     if not chain[-1]:
         chain.pop()
@@ -405,15 +405,16 @@ def _sturm_chain_sqf(f0: IntPoly) -> list:
     return chain
 
 
-def _sign_variations(signs: Sequence[int]) -> int:
-    prev = 0
+def _sign_variations(seq: Sequence[int]) -> int:
+    """Sign changes along seq, zeros skipped (signs or coefficients alike)."""
+    last = None
     changes = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            changes += 1
-        prev = s
+    for c in seq:
+        if c:
+            negative = c < 0
+            if last is not None and negative != last:
+                changes += 1
+            last = negative
     return changes
 
 
@@ -451,6 +452,126 @@ def count_real_roots(f: IntPoly) -> int:
     return sturm_count(sturm_chain(f), None, None)
 
 
+# ---------------------------------------------------------------------------
+# Descartes' rule: continued-fraction isolation and root exclusion
+#
+# The routines below work on coefficient lists in descending order of
+# degree, so that a Taylor shift is one run of Horner steps per
+# coefficient.
+
+
+def _taylor_shift(d: IntPoly, a: int) -> IntPoly:
+    """Descending coefficients of f(x + a), for f given by descending d."""
+    d = list(d)
+    for m in range(len(d) - 1, 0, -1):
+        acc = d[0]
+        if a == 1:
+            for k in range(1, m + 1):
+                acc += d[k]
+                d[k] = acc
+        else:
+            for k in range(1, m + 1):
+                acc = acc * a + d[k]
+                d[k] = acc
+    return d
+
+
+def _positive_root_shift(d: IntPoly) -> int:
+    """An integer A >= 0 below every positive root of f, f given by descending d.
+
+    f must have a positive and a negative coefficient.
+
+    A = floor(1 / U) for the LMQ upper bound U on the positive roots of
+    x^n f(1/x), whose ascending coefficients are d (Akritas, Strzebonski
+    & Vigklas 2008): U = max over negative a_i of the min over positive
+    a_j, j > i, of (2^t_j |a_i| / a_j)^(1 / (j - i)), t_j counting the
+    uses of a_j from 1.  It is taken as a power of 2 from bit lengths,
+    rounded up, since a bound too small would lose roots: the ceiling of
+    log2 |a_i|, the floor of log2 a_j and the ceiling of the quotient.
+    """
+    a = d if d[-1] > 0 else neg(d)
+    positive = [(j, c.bit_length() - 1) for j, c in enumerate(a) if c > 0]
+    uses = {j: 1 for j, _ in positive}
+    worst = None
+    for i, c in enumerate(a):
+        if c >= 0:
+            continue
+        up = (-c - 1).bit_length()
+        best = None
+        for j, down in positive:
+            if j > i:
+                e = -((down - uses[j] - up) // (j - i))
+                if best is None or e < best:
+                    best, used = e, j
+        uses[used] += 1
+        if worst is None or best > worst:
+            worst = best
+    return 1 << -worst if worst <= 0 else 0
+
+
+def _positive_roots_cf(d: IntPoly) -> list:
+    """Isolating intervals of the positive roots of f, f given by descending d.
+
+    f must be squarefree with f(0) != 0.  Continued-fraction method
+    (Akritas & Strzebonski 2005), as in sympy's
+    dup_inner_isolate_real_roots: a node is a Moebius map
+    M(x) = (a x + b) / (c x + e) with the transformed f, whose positive
+    roots are the roots of f between M(0) = b/e and M(inf) = a/c, and
+    whose sign variations bound their number.  A node with one
+    variation is output as (b/e, a/c), with None for a/c when c = 0; the
+    others shift by the LMQ bound, then by doubled steps that keep their
+    variations, and split into x + 1 and 1 / (1 + x).  A rational root
+    met as the image of a shift raises ValueError.
+    """
+    out = []
+    k = _sign_variations(d)
+    stack = [(1, 0, 0, 1, d, k)] if k else []
+    while stack:
+        a, b, c, e, f, k = stack.pop()
+        if k == 1:
+            out.append((a, b, c, e))
+            continue
+        shift = _positive_root_shift(f)
+        first = True
+        while shift and k > 1:
+            g = _taylor_shift(f, shift)
+            if not g[-1]:
+                root = Fraction(a * shift + b, c * shift + e)
+                raise ValueError(f"rational root {root}: divide the rational roots out first")
+            variations = _sign_variations(g)
+            # the first step is the bound; each doubled one must keep the k
+            # variations, which proves that it passes no root (Budan), so
+            # roots far from 0 are reached in few steps
+            if variations < k and not first:
+                break
+            f, b, e, k, first = g, a * shift + b, c * shift + e, variations, False
+            shift *= 2
+        if k <= 1:
+            if k:
+                out.append((a, b, c, e))
+            continue
+        f1 = _taylor_shift(f, 1)
+        if not f1[-1]:
+            root = Fraction(a + b, c + e)
+            raise ValueError(f"rational root {root}: divide the rational roots out first")
+        k1 = _sign_variations(f1)
+        # the variations of f are at least those of its two halves, with even excess
+        k2 = k - k1
+        if k1:
+            stack.append((a, a + b, c, c + e, f1, k1))
+        if k2 > 1:
+            f2 = _taylor_shift(f[::-1], 1)
+            k2 = _sign_variations(f2)
+        else:
+            f2 = None
+        if k2:
+            stack.append((b, a + b, e, c + e, f2, k2))
+    return [
+        (Fraction(b, e), None) if c == 0 else tuple(sorted((Fraction(b, e), Fraction(a, c))))
+        for a, b, c, e in out
+    ]
+
+
 def cauchy_bound(f: IntPoly) -> Fraction:
     """B such that every real root of f, of degree >= 1, lies in (-B, B)."""
     return Fraction(max(abs(c) for c in f[:-1]), abs(f[-1])) + 1
@@ -461,48 +582,95 @@ def isolate_real_roots(s: IntPoly) -> list:
 
     s must be what rational_roots leaves: squarefree, primitive with
     lc > 0 and without a rational root.  Each open interval holds
-    exactly one root and its rational endpoints are not roots.  A
-    bisection midpoint that is a root breaks the contract and raises
-    ValueError.
+    exactly one root and its rational endpoints are not roots; the sign
+    of s at lo is (-1)^(n - i) for the i-th of n intervals, from 0.
+
+    The intervals are those of dyadic bisection of (-B, B], B =
+    cauchy_bound(s), which stops at a node holding one root.  The roots
+    are isolated first by the continued-fraction method, for s(x) and
+    s(-x), and the bisection tree is then walked from the top, left
+    child first, on those intervals: a node with no root is dropped, one
+    with one root is output, and one with more splits at its midpoint.
+    At most one root's interval contains that midpoint, and one sign of
+    s there says on which side the root lies.  A midpoint that is a
+    root breaks the contract and raises ValueError.
     """
-    if degree(s) <= 0:
+    n = degree(s)
+    if n <= 0:
         return []
     b = cauchy_bound(s)
-    chain = _sturm_chain_sqf(s)
+    d = s[::-1]
+    mirrored = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(d)]  # s(-x)
+    roots = [[-b if hi is None else -hi, -lo] for lo, hi in _positive_roots_cf(mirrored)]
+    roots.sort()
+    roots += sorted([lo, b if hi is None else hi] for lo, hi in _positive_roots_cf(d))
+    count = len(roots)
     out: list = []
-    _bisect(chain, -b, b, variations_at(chain, -b), variations_at(chain, b), out)
+    stack = [(-b, b, 0, count)]
+    while stack:
+        lo, hi, i, j = stack.pop()
+        if j - i <= 1:
+            if j > i:
+                out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        m = i
+        while m < j and roots[m][1] <= mid:
+            m += 1
+        if m < j and roots[m][0] < mid:
+            sign = eval_sign(s, mid)
+            if sign == 0:
+                raise ValueError(f"rational root {mid}: divide the rational roots out first")
+            # s has the sign (-1)^(count - m) just left of root m
+            if (sign > 0) == ((count - m) % 2 == 0):
+                roots[m][0] = mid
+            else:
+                roots[m][1] = mid
+                m += 1
+        stack.append((mid, hi, m, j))
+        stack.append((lo, mid, i, m))
     return out
 
 
-def _bisect(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int, out: list) -> None:
-    """Isolate the roots in (lo, hi], given the chain's sign variations at both ends."""
-    count = v_lo - v_hi
-    if count == 0:
-        return
-    if count == 1:
-        out.append((lo, hi))
-        return
-    mid = (lo + hi) / 2
-    signs = [eval_sign(p, mid) for p in chain]
-    if signs[0] == 0:
-        raise ValueError(f"rational root {mid}: divide the rational roots out first")
-    v_mid = _sign_variations(signs)
-    _bisect(chain, lo, mid, v_lo, v_mid, out)
-    _bisect(chain, mid, hi, v_mid, v_hi, out)
+def variations_in(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
+    """Descartes' bound on the roots of f (ascending, nonzero) in the open (lo, hi).
+
+    The count is the sign variations of (1 + y)^n f((lo + hi y) / (1 + y)):
+    at least the number of roots, of the same parity, and 0 once the
+    disc with diameter (lo, hi) holds no complex root (the one-circle
+    theorem).  With lo = p / D and hi = q / D the map is one scaling by
+    D, a Taylor shift by q, the reversal with the factors (p - q)^m, and
+    a Taylor shift by 1.
+    """
+    den = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
+    p, q = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    d = f[::-1]
+    if den != 1:
+        scale = 1
+        for k in range(1, len(d)):
+            scale *= den
+            d[k] *= scale
+    d = _taylor_shift(d, q)
+    w, scale = p - q, 1
+    for k in range(len(d) - 2, -1, -1):
+        scale *= w
+        d[k] *= scale
+    return _sign_variations(_taylor_shift(d[::-1], 1))
 
 
-def refine_interval(s: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
+def refine_interval(s: IntPoly, lo: Fraction, hi: Fraction, lo_sign: int) -> tuple:
     """One bisection step on an isolating interval of squarefree s.
 
     The interval must contain exactly one root of s, irrational, with
-    non-root endpoints; both properties are preserved.  A midpoint that
-    is a root breaks the contract and raises ValueError, as in
-    isolate_real_roots.
+    non-root endpoints, and lo_sign must be the sign of s at lo; both
+    properties are preserved, and so is the sign of s at the lower end,
+    which stays left of the root.  A midpoint that is a root breaks the
+    contract and raises ValueError, as in isolate_real_roots.
     """
     mid = (lo + hi) / 2
     sm = eval_sign(s, mid)
     if sm == 0:
         raise ValueError(f"rational root {mid} inside the isolating interval")
-    if eval_sign(s, lo) * sm < 0:
-        return (lo, mid)
-    return (mid, hi)
+    if sm == lo_sign:
+        return (mid, hi)
+    return (lo, mid)

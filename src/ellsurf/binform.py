@@ -90,12 +90,6 @@ class BinForm:
         """
         return self.scaled[0]
 
-    @functools.cached_property
-    def sturm_chain(self) -> list:
-        """Sturm chain of the squarefree part of f(u, 1); empty when that is constant."""
-        a = self.affine_int()
-        return ip.sturm_chain(a) if ip.degree(a) >= 1 else []
-
     def v_order_at_infinity(self) -> int:
         """Multiplicity of (1:0) as a root, i.e. degree minus affine degree."""
         if self.is_zero:

@@ -112,8 +112,13 @@ def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> list:
     return ip.from_fractions([qval, pval, Fraction(0), Fraction(1)])
 
 
-def _sample_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
-    roots = ip.count_real_roots(_fiber_cubic_at(t, pt))
+def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int]) -> FiberSlice:
+    """Smooth fiber at pt; counts keeps the real root count of each cubic met so far."""
+    cubic = _fiber_cubic_at(t, pt)
+    key = tuple(cubic)
+    if key not in counts:
+        counts[key] = ip.count_real_roots(cubic)
+    roots = counts[key]
     if roots == 3:
         return FiberSlice(pt, "sample", ("oval", "branch"))
     if roots == 1:
@@ -167,18 +172,23 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     depend on the arc samples the pipeline chose.
     """
     arcs = t.topology.arcs
+    # samples where (p, q) repeats share one fiber cubic and one root count
+    counts: Dict[tuple, int] = {}
     if arcs is None:
-        slices = [_sample_slice(t, FinitePoint(Fraction(0))), _sample_slice(t, INFINITY)]
+        slices = [
+            _sample_slice(t, FinitePoint(Fraction(0)), counts),
+            _sample_slice(t, INFINITY, counts),
+        ]
     else:
         # circle order: each cut, then the sample of the arc after it
         slices = []
         for arc in arcs.arcs:
-            slices += [_cut_slice(t, arc.start), _sample_slice(t, arc.sample)]
+            slices += [_cut_slice(t, arc.start), _sample_slice(t, arc.sample, counts)]
         if isinstance(arcs.points[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
             slices.insert(0, slices.pop())
     for x in extra_samples:
-        _insert_sample(t, slices, Fraction(x))
+        _insert_sample(t, slices, Fraction(x), counts)
 
     uf = _UnionFind()
     V = E = F = 0
@@ -209,7 +219,9 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     return OracleResult(h0, h1, chi, V, E, F, tuple(slices))
 
 
-def _insert_sample(t: WeierstrassTriple, slices: List[FiberSlice], x: Fraction) -> None:
+def _insert_sample(
+    t: WeierstrassTriple, slices: List[FiberSlice], x: Fraction, counts: Dict[tuple, int]
+) -> None:
     """Put a smooth slice at x into the circle-ordered slices, once."""
     cand = FinitePoint(x)
     for i, s in enumerate(slices):
@@ -219,9 +231,9 @@ def _insert_sample(t: WeierstrassTriple, slices: List[FiberSlice], x: Fraction) 
         if order == 0:
             return
         if order < 0:
-            slices.insert(i, _sample_slice(t, cand))
+            slices.insert(i, _sample_slice(t, cand, counts))
             return
-    slices.append(_sample_slice(t, cand))
+    slices.append(_sample_slice(t, cand, counts))
 
 
 def _tube_matches(a: FiberSlice, b: FiberSlice) -> List[Tuple[int, int]]:

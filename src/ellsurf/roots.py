@@ -3,8 +3,8 @@
 A point of P^1(R) is rational, irrational algebraic (carried by a
 squarefree defining form plus an open isolating interval with rational
 endpoints), or the point at infinity (1:0).  Everything here is exact:
-signs and vanishing orders of forms at such points are decided by gcd
-computations, Sturm counts and interval bisection, never by numerics.
+signs of forms at such points are decided by gcd computations,
+Descartes' rule of signs and interval bisection, never by numerics.
 
 The circle is ordered the standard way: the reals ascending, then
 infinity, wrapping back to -infinity.
@@ -12,7 +12,7 @@ infinity, wrapping back to -infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -34,21 +34,26 @@ class AlgebraicPoint:
 
     `defining` is squarefree with integer primitive coefficients; it has
     exactly one root in the open interval and the endpoints are not
-    roots.
+    roots.  `lo_sign` is the sign of defining(u, 1) at lo, which every
+    refinement keeps; it is evaluated when not given, and two points
+    are equal when (defining, lo, hi) are.
     """
 
     defining: BinForm
     lo: Fraction
     hi: Fraction
+    lo_sign: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("isolating interval must be non-degenerate")
+        if not self.lo_sign:
+            object.__setattr__(self, "lo_sign", ip.eval_sign(self.defining.affine_int(), self.lo))
 
     def refined(self) -> "AlgebraicPoint":
         """Halve the isolating interval (exact bisection step)."""
-        lo, hi = ip.refine_interval(self.defining.affine_int(), self.lo, self.hi)
-        return AlgebraicPoint(self.defining, lo, hi)
+        lo, hi = ip.refine_interval(self.defining.affine_int(), self.lo, self.hi, self.lo_sign)
+        return AlgebraicPoint(self.defining, lo, hi, self.lo_sign)
 
     def excluding(self, x: Fraction) -> "AlgebraicPoint":
         """Refine until the rational x lies outside [lo, hi].
@@ -231,7 +236,12 @@ def rational_split(s: list) -> List[Tuple[list, List[CirclePoint]]]:
     out.sort(key=lambda unit: factor_order(unit[0]))
     if ip.degree(rest) >= 1:
         form = BinForm.from_affine(ip.degree(rest), rest)
-        pts = [AlgebraicPoint(form, lo, hi) for lo, hi in ip.isolate_real_roots(rest)]
+        intervals = ip.isolate_real_roots(rest)
+        # rest has lc > 0, so its sign left of the i-th of n roots is (-1)^(n - i)
+        pts = [
+            AlgebraicPoint(form, lo, hi, -1 if (len(intervals) - i) % 2 else 1)
+            for i, (lo, hi) in enumerate(intervals)
+        ]
         out.append((rest, pts))
     return out
 
@@ -251,24 +261,33 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
         val = g.value_at_infinity()
         return (val > 0) - (val < 0)
     assert isinstance(c, AlgebraicPoint)
-    # with no root of g in (lo, hi] the sign is constant on the interval;
-    # otherwise either g vanishes at c, or refining c leaves its roots
-    # out.  Each refinement keeps one end, whose sign variations carry.
+    # with no root of g in (lo, hi) the sign is constant there; otherwise
+    # either g vanishes at c, or refining c leaves its roots out
     ga = g.affine_int()
-    chain = g.sturm_chain
     lo, hi = c.lo, c.hi
-    if chain:
-        v_lo, v_hi = ip.variations_at(chain, lo), ip.variations_at(chain, hi)
-        if v_lo > v_hi and _divisor_vanishes_in(ip.gcd(ga, c.defining.affine_int()), lo, hi):
-            return 0
+    g_lo, g_hi = ip.eval_sign(ga, lo), ip.eval_sign(ga, hi)
+    if _may_vanish_in(ga, lo, hi, g_lo, g_hi):
         s = c.defining.affine_int()
-        while v_lo > v_hi:
-            new_lo, hi = ip.refine_interval(s, lo, hi)
+        if _divisor_vanishes_in(ip.gcd(ga, s), lo, hi):
+            return 0
+        while True:
+            new_lo, new_hi = ip.refine_interval(s, lo, hi, c.lo_sign)
             if new_lo == lo:
-                v_hi = ip.variations_at(chain, hi)
+                hi, g_hi = new_hi, ip.eval_sign(ga, new_hi)
             else:
-                lo, v_lo = new_lo, ip.variations_at(chain, new_lo)
-    return ip.eval_sign(ga, (lo + hi) / 2)
+                lo, g_lo = new_lo, ip.eval_sign(ga, new_lo)
+            if not _may_vanish_in(ga, lo, hi, g_lo, g_hi):
+                break
+    return g_lo or g_hi or ip.eval_sign(ga, (lo + hi) / 2)
+
+
+def _may_vanish_in(ga: list, lo: Fraction, hi: Fraction, g_lo: int, g_hi: int) -> bool:
+    """Whether g may have a root in (lo, hi), given its signs g_lo, g_hi at the ends.
+
+    Opposite signs prove a root; otherwise Descartes' rule decides, and
+    its count 0 proves there is none.
+    """
+    return g_lo * g_hi < 0 or ip.variations_in(ga, lo, hi) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import _intpoly as ip
 from .binform import BinForm, form_gcd
@@ -99,22 +99,21 @@ def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     return t
 
 
-def _derivative_chain(f: BinForm, order: int) -> List[BinForm]:
-    """f and its pure u- and v-derivatives up to the given order."""
-    out = [f]
+def _derivative_chain(f: BinForm, order: int) -> Iterator[BinForm]:
+    """f and its pure u- and v-derivatives up to the given order, each built when asked for."""
+    yield f
     cur = f
     for _ in range(order):
         cur = cur.u_derivative()
         if cur.is_zero:
             break
-        out.append(cur)
+        yield cur
     cur = f
     for _ in range(order):
         cur = cur.v_derivative()
         if cur.is_zero:
             break
-        out.append(cur)
-    return out
+        yield cur
 
 
 def _nonminimal_witness(p: BinForm, q: BinForm):
@@ -123,13 +122,15 @@ def _nonminimal_witness(p: BinForm, q: BinForm):
     A point has p-order >= 4 and q-order >= 6 iff it is a common root of
     the chains of pure partial derivatives (orders 0..3 of p and 0..5 of
     q, in both charts); an identically zero form imposes no constraint.
+    The derivatives are built as the gcd fold reaches them, which for
+    most data stops at gcd(p, p_u).
     """
     if p.is_zero:
         chain = _derivative_chain(q, 5)
     elif q.is_zero:
         chain = _derivative_chain(p, 3)
     else:
-        chain = _derivative_chain(p, 3) + _derivative_chain(q, 5)
+        chain = (f for part in (_derivative_chain(p, 3), _derivative_chain(q, 5)) for f in part)
     g: Optional[BinForm] = None
     for f in chain:
         if f.is_zero:

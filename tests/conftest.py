@@ -4,6 +4,7 @@ import signal
 import pytest
 
 from ellsurf import BinForm, WeierstrassTriple, i0star_transform, make_params, validate
+from ellsurf import _intpoly as ip
 
 U = BinForm.make(1, [0, 1])
 V = BinForm.make(1, [1, 0])
@@ -38,6 +39,36 @@ def poly_mul(f, g):
             out[i + j] += a * b
     while out and out[-1] == 0:
         out.pop()
+    return out
+
+
+def sturm_bisection(s):
+    """Isolating intervals of s by Sturm bisection of (-B, B]: the reference for isolate_real_roots.
+
+    s is squarefree, primitive with lc > 0 and without a rational root.
+    A node whose Sturm count is one is output, one with more splits at
+    its midpoint (left half first), and a midpoint that is a root
+    raises ValueError.
+    """
+    if ip.degree(s) <= 0:
+        return []
+    chain = ip.sturm_chain(s)
+    b = ip.cauchy_bound(s)
+    out = []
+
+    def bisect(lo, hi, v_lo, v_hi):
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        if v_lo - v_hi <= 1:
+            return
+        mid = (lo + hi) / 2
+        if ip.eval_sign(s, mid) == 0:
+            raise ValueError(f"rational root {mid}")
+        v_mid = ip.variations_at(chain, mid)
+        bisect(lo, mid, v_lo, v_mid)
+        bisect(mid, hi, v_mid, v_hi)
+
+    bisect(-b, b, ip.variations_at(chain, -b), ip.variations_at(chain, b))
     return out
 
 

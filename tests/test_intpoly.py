@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ellsurf import _intpoly as ip
 
-from conftest import poly_mul
+from conftest import poly_mul, sturm_bisection
 
 X = sympy.Symbol("x")
 
@@ -168,9 +168,9 @@ def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zer
 
 
 def test_refinement_refuses_a_rational_root():
-    # u^2 - 1 on (0, 2): the first midpoint is the root 1
+    # u^2 - 1 on (0, 2), negative at 0: the first midpoint is the root 1
     with pytest.raises(ValueError):
-        ip.refine_interval([-1, 0, 1], Fraction(0), Fraction(2))
+        ip.refine_interval([-1, 0, 1], Fraction(0), Fraction(2), -1)
 
 
 def test_isolation_refuses_a_rational_root():
@@ -194,3 +194,74 @@ def test_isolation_of_the_rest_matches_sympy(roots, cofactor):
         assert ip.eval_sign(rest, lo) * ip.eval_sign(rest, hi) == -1
         assert ip.sturm_count(chain, lo, hi) == 1
     assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
+
+
+def _clustered_quadratics(draw):
+    """Product of quadratics a^2 x^2 - 2 a c x + c^2 - e with roots (c +- sqrt(e)) / a, close when e is small."""
+    f = [1]
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(1, 60))
+        c = draw(st.integers(-(10 ** 6), 10 ** 6))
+        e = draw(st.integers(-(10 ** 3), 10 ** 3))
+        f = poly_mul(f, [c * c - e, -2 * a * c, a * a])
+    return f
+
+
+@st.composite
+def squarefree_rests(draw):
+    """What rational_roots leaves of random integer polynomials: no rational root, lc > 0."""
+    kind = draw(st.sampled_from(["dense", "large", "clustered"]))
+    if kind == "clustered":
+        f = _clustered_quadratics(draw)
+    else:
+        bound = 2 ** 60 if kind == "large" else 2 ** draw(st.sampled_from([3, 10, 30]))
+        f = ip.strip(draw(st.lists(st.integers(-bound, bound), min_size=3, max_size=25)))
+    if ip.degree(f) < 1:
+        return [1]
+    return ip.rational_roots(ip.squarefree_part(f))[1]
+
+
+@given(squarefree_rests())
+@settings(max_examples=250, deadline=None)
+def test_isolation_rebuilds_the_sturm_bisection_intervals(rest):
+    assert ip.isolate_real_roots(rest) == sturm_bisection(rest)
+
+
+@pytest.mark.parametrize(
+    "rest",
+    [
+        # roots 3 +- sqrt(2) / 10^9 and -1 +- sqrt(3) / 10^12, far below the
+        # Cauchy bound's scale, and complex roots near +-i
+        poly_mul(
+            poly_mul([9 * 10 ** 18 - 2, -6 * 10 ** 18, 10 ** 18], [10 ** 24 - 3, 2 * 10 ** 24, 10 ** 24]),
+            [10 ** 6 + 1, 0, 10 ** 6],
+        ),
+        # the LMQ bound below the root near -57 is a shift by 32; rounding
+        # log2 of a negative coefficient down gives 64 and loses the root
+        [2 ** 63, 2 ** 55, -2216615441596416, -206158430208, 939524096, 786432, 512, 7],
+    ],
+    ids=["close clusters", "tight root bound"],
+)
+def test_isolation_rebuilds_the_sturm_bisection_intervals_on_hard_cases(rest):
+    rest = ip.monic_sign(rest)
+    assert ip.rational_roots(rest) == ([], rest)
+    assert ip.isolate_real_roots(rest) == sturm_bisection(rest)
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(ip.strip).filter(bool),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000),
+)
+@settings(max_examples=150, deadline=None)
+def test_descartes_count_bounds_the_roots_in_the_open_interval(f, lo, width):
+    s = ip.squarefree_part(f)
+    hi = lo + width
+    count = ip.variations_in(s, lo, hi)
+    # sympy counts the roots in the closed interval
+    closed = _poly(s).count_roots(
+        sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+    )
+    inside = closed - sum(ip.eval_sign(s, x) == 0 for x in (lo, hi))
+    assert count >= inside
+    assert (count - inside) % 2 == 0

@@ -234,8 +234,9 @@ class TestSampleSlices:
 class TestWorkDoneOnce:
     @pytest.mark.parametrize("name", ["w1", "fractional-coefficients", "random-k3"])
     def test_compare_builds_each_forms_sturm_chain_once(self, monkeypatch, name):
-        # the oracle's fiber cubics are per sample point, not forms of the
-        # surface, and are left out of the count
+        # no form of the surface gets a Sturm chain: the pipeline isolates
+        # and signs without them, and the oracle builds one per distinct
+        # fiber cubic (w1 has 12 sample points but 7 distinct cubics)
         cubics = []
         fiber_cubic_at = oracle._fiber_cubic_at
 
@@ -243,18 +244,27 @@ class TestWorkDoneOnce:
             cubics.append(fiber_cubic_at(t, pt))
             return cubics[-1]
 
+        samples = []
+        sample_slice = oracle._sample_slice
+
+        def recording_sample(t, pt, counts):
+            samples.append(tuple(fiber_cubic_at(t, pt)))
+            return sample_slice(t, pt, counts)
+
         chains = []
         sturm_chain = ip.sturm_chain
 
-        def counting_chain(f):
-            if not any(f is c for c in cubics):
-                chains.append(tuple(f))
+        def recording_chain(f):
+            chains.append(f)
             return sturm_chain(f)
 
         monkeypatch.setattr(oracle, "_fiber_cubic_at", recording_cubic)
-        monkeypatch.setattr(ip, "sturm_chain", counting_chain)
+        monkeypatch.setattr(oracle, "_sample_slice", recording_sample)
+        monkeypatch.setattr(ip, "sturm_chain", recording_chain)
         path = Path(__file__).parent / "golden" / f"{name}.triple.json"
         t = triple_from_document(json.loads(path.read_text(encoding="utf-8")))
         compare(t)
-        assert chains, "no form's Sturm chain was built"
-        assert len(chains) == len(set(chains))
+        assert all(any(f is c for c in cubics) for f in chains), "a chain of a non-cubic was built"
+        assert sorted(map(tuple, chains)) == sorted(set(samples))
+        if name == "w1":
+            assert (len(samples), len(chains)) == (12, 7)

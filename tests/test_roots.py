@@ -132,9 +132,19 @@ class TestSignAt:
         st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(ip.strip).filter(bool),
         st.sampled_from([2, 3, 5, 6, 7]),
         st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(ip.strip).filter(bool),
-        st.sampled_from(["plain", "vanishes", "root in the interval"]),
+        st.sampled_from(
+            [
+                "plain",
+                "vanishes",
+                "vanishes twice",
+                "root in the interval",
+                "root off the midpoints",
+                "two roots in the interval",
+                "complex pair over the interval",
+            ]
+        ),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=140, deadline=None)
     def test_at_split_points_matches_sympy(self, cofactor, m, h, case):
         # s has the irrational roots +-sqrt(m) at least
         s = ip.squarefree_part(poly_mul(cofactor, [-m, 0, 1]))
@@ -142,12 +152,23 @@ class TestSignAt:
         points = [pt for pt in points if isinstance(pt, AlgebraicPoint)]
         assert len(points) >= 2
         for pt in points:
+            # x0 lies in the first interval and is never a bisection midpoint
+            x0, r = (2 * pt.lo + pt.hi) / 3, (pt.hi - pt.lo) / 10
             g = h
             if case == "vanishes":
                 g = poly_mul(h, pt.defining.affine_int())
+            elif case == "vanishes twice":
+                g = poly_mul(h, poly_mul(pt.defining.affine_int(), pt.defining.affine_int()))
             elif case == "root in the interval":
                 mid = (pt.lo + pt.hi) / 2
                 g = poly_mul(h, [-mid.numerator, mid.denominator])
+            elif case == "root off the midpoints":
+                g = poly_mul(h, [-x0.numerator, x0.denominator])
+            elif case == "two roots in the interval":
+                # x0 +- r / sqrt(2): g has the same sign at both ends
+                g = poly_mul(h, ip.from_fractions([x0 * x0 - r * r / 2, -2 * x0, 1]))
+            elif case == "complex pair over the interval":
+                g = poly_mul(h, ip.from_fractions([x0 * x0 + r * r, -2 * x0, 1]))
             form = BinForm.from_affine(ip.degree(g) + 1, g)
             expected = _sympy_sign_at_root(g, pt.defining.affine_int(), pt.lo, pt.hi)
             with time_limit(10):
@@ -300,6 +321,23 @@ class TestCircleOrder:
                     assert not any(
                         p.lo <= q.value <= p.hi for q in finite_pts if isinstance(q, FinitePoint)
                     )
+
+    def test_overlapping_intervals_of_two_rests_are_refined_apart(self):
+        # sqrt(2) and sqrt(2 + 10^-6) on coprime rests: both first intervals
+        # are (0, B) with B the rest's Cauchy bound
+        rests = [[-2, 0, 1], [-(2 * 10 ** 6 + 1), 0, 10 ** 6]]
+        points = [pt for rest in rests for _, pts in rational_split(rest) for pt in pts]
+        positive = [pt for pt in points if pt.lo >= 0]
+        a, b = positive
+        assert a.hi > b.lo and b.hi > a.lo
+        order = circle_sort_key_refine(points)
+        keys = [sympy.sqrt(2), sympy.sqrt(sympy.Rational(2 * 10 ** 6 + 1, 10 ** 6))]
+        expected = sorted([-x for x in keys] + keys)
+        assert len(order) == 4
+        for pt, x in zip(order, expected):
+            assert pt.lo < x < pt.hi
+        for left, right in zip(order, order[1:]):
+            assert left.hi <= right.lo
 
     def test_rational_root_in_an_interval_raises(self):
         # (u - v)(u^2 - 2v^2) has the root 1 in (1/2, 5/4), and no bisection

@@ -22,6 +22,7 @@ from ellsurf import (
     normalize,
     validate,
 )
+from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
@@ -114,6 +115,28 @@ class TestValidate:
         with pytest.raises(NonMinimal) as err:
             validate(2, w ** 4, w ** 6)
         assert isinstance(err.value.witness, BinForm)
+
+    def test_minimality_builds_derivatives_only_as_far_as_the_gcds_go(self, monkeypatch):
+        # a squarefree p has gcd(p, p_u) constant: one u-derivative decides
+        rng = random.Random(61)
+        t = random_valid_triple(rng, 2)
+        a = t.p.affine_int()
+        assert ip.degree(ip.gcd(a, ip.derivative(a))) == 0 and t.p.v_order_at_infinity() <= 1
+        calls = {"u": 0, "v": 0}
+        u_derivative, v_derivative = BinForm.u_derivative, BinForm.v_derivative
+
+        def counting_u(f):
+            calls["u"] += 1
+            return u_derivative(f)
+
+        def counting_v(f):
+            calls["v"] += 1
+            return v_derivative(f)
+
+        monkeypatch.setattr(BinForm, "u_derivative", counting_u)
+        monkeypatch.setattr(BinForm, "v_derivative", counting_v)
+        validate(t.k, t.p, t.q)
+        assert calls == {"u": 1, "v": 0}
 
 
 class TestDiscriminant:
