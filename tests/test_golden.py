@@ -1,4 +1,4 @@
-"""Golden corpus: report and search output bytes stay exactly as recorded."""
+"""Golden corpus: report, search and validate output bytes stay exactly as recorded."""
 
 from pathlib import Path
 
@@ -28,6 +28,13 @@ def test_search_out_bytes(tmp_path, k, components):
     assert result.exit_code == 0, result.output
     expected = GOLDEN / f"search-k{k}-c{components}.out.json"
     assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
+
+
+def test_validate_nonminimal_bytes():
+    result = CliRunner().invoke(main, ["validate", str(GOLDEN / "nonminimal-conjugate-pair.json")])
+    assert result.exit_code == 2
+    expected = GOLDEN / "nonminimal-conjugate-pair.validate.txt"
+    assert result.stdout == expected.read_text(encoding="utf-8")
 
 
 def test_corpus_is_present():
