@@ -7,7 +7,7 @@ their verifiers, an extremal-component search, and an independent
 cell-complex oracle that cross-checks every topological output.
 """
 
-from .binform import BinForm, FormDegreeError, form_gcd, squarefree_part
+from .binform import BinForm, FormDegreeError
 from .roots import (
     INFINITY,
     AlgebraicPoint,
@@ -15,7 +15,6 @@ from .roots import (
     FinitePoint,
     InfinityPoint,
     finite,
-    isolate_real_roots,
     sign_at,
     simplest_between,
 )
@@ -29,7 +28,6 @@ from .weierstrass import (
     WeierstrassError,
     WeierstrassTriple,
     classify_fibers,
-    discriminant,
     normalize,
     validate,
 )
@@ -65,15 +63,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BinForm",
     "FormDegreeError",
-    "form_gcd",
-    "squarefree_part",
     "INFINITY",
     "AlgebraicPoint",
     "CirclePoint",
     "FinitePoint",
     "InfinityPoint",
     "finite",
-    "isolate_real_roots",
     "sign_at",
     "simplest_between",
     "ConjugatePairTag",
@@ -85,7 +80,6 @@ __all__ = [
     "WeierstrassError",
     "WeierstrassTriple",
     "classify_fibers",
-    "discriminant",
     "normalize",
     "validate",
     "Arc",

@@ -152,22 +152,6 @@ class BinForm:
         den = den ** n
         return BinForm.from_affine(n * self.degree, [Fraction(c, den) for c in out])
 
-    def u_derivative(self) -> "BinForm":
-        if self.degree == 0:
-            return BinForm.zero(0)
-        return BinForm(
-            self.degree - 1,
-            tuple(self.coeffs[i + 1] * (i + 1) for i in range(self.degree)),
-        )
-
-    def v_derivative(self) -> "BinForm":
-        if self.degree == 0:
-            return BinForm.zero(0)
-        return BinForm(
-            self.degree - 1,
-            tuple(self.coeffs[i] * (self.degree - i) for i in range(self.degree)),
-        )
-
     # -- normalization -------------------------------------------------------
 
     def content_and_primitive(self) -> Tuple[Fraction, "BinForm"]:
@@ -180,9 +164,6 @@ class BinForm:
         a, den = self.scaled
         g = ip.content(a)
         return Fraction(g, den), BinForm.from_affine(self.degree, [c // g for c in a])
-
-    def primitive(self) -> "BinForm":
-        return self.content_and_primitive()[1]
 
     def __str__(self) -> str:
         terms = []
@@ -206,29 +187,3 @@ class BinForm:
                 terms.append(f"{c}*{body}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
-
-# ---------------------------------------------------------------------------
-# gcd / squarefree structure, with the point at infinity treated as an
-# ordinary root via its v-multiplicity.
-
-
-def form_gcd(f: BinForm, g: BinForm) -> BinForm:
-    """Primitive gcd as a form; (1:0) contributes min of the two v-orders."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd of two zero forms")
-    if f.is_zero:
-        return g.primitive()
-    if g.is_zero:
-        return f.primitive()
-    ga = ip.gcd(f.affine_int(), g.affine_int())
-    m = min(f.v_order_at_infinity(), g.v_order_at_infinity())
-    return BinForm.from_affine(ip.degree(ga) + m, ga)
-
-
-def squarefree_part(f: BinForm) -> BinForm:
-    """Form with the same roots as f (including infinity), all simple."""
-    if f.is_zero:
-        raise ValueError("zero form")
-    sa = ip.squarefree_part(f.affine_int())
-    m = 1 if f.v_order_at_infinity() >= 1 else 0
-    return BinForm.from_affine(ip.degree(sa) + m, sa)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm, squarefree_part
+from .binform import BinForm
 
 
 @dataclass(frozen=True)
@@ -190,25 +190,7 @@ def circle_sort_key_refine(points: Sequence[CirclePoint]) -> List[CirclePoint]:
 
 
 # ---------------------------------------------------------------------------
-# isolation of all real roots of a form on the circle
-
-
-def isolate_real_roots(f: BinForm) -> List[CirclePoint]:
-    """All distinct real roots of f on P^1(R) as exact circle points, in circle order.
-
-    Rational roots come back as FinitePoint, irrational ones as
-    AlgebraicPoint against the quotient of the squarefree part of f by
-    its rational linear factors (see rational_split), and infinity as
-    InfinityPoint when v divides f.  Nothing is factored.
-    """
-    if f.is_zero:
-        raise ValueError("zero form")
-    pts: List[CirclePoint] = []
-    for _, factor_pts in rational_split(squarefree_part(f).affine_int()):
-        pts.extend(factor_pts)
-    if f.v_order_at_infinity() >= 1:
-        pts.append(INFINITY)
-    return circle_sort_key_refine(pts)
+# real points of a squarefree polynomial
 
 
 def factor_order(factor: list) -> tuple:

@@ -36,7 +36,7 @@ from .roots import (
     sample_between,
     sign_at,
 )
-from .weierstrass import FiberReport, WeierstrassTriple, discriminant
+from .weierstrass import FiberReport, WeierstrassTriple
 
 
 class NotRealGeneric(Exception):
@@ -82,7 +82,7 @@ def _nodal_type_unchecked(t: WeierstrassTriple, c: CirclePoint) -> RealFiberType
 
 def smooth_fiber_components(t: WeierstrassTriple, c: CirclePoint) -> int:
     """Circles in the real fiber at a non-singular point: 2 iff Delta(c) < 0."""
-    s = sign_at(discriminant(t), c)
+    s = sign_at(t.delta, c)
     if s == 0:
         raise ValueError("c is a zero of the discriminant")
     return 2 if s < 0 else 1

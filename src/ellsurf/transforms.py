@@ -48,7 +48,6 @@ from .weierstrass import (
     SurfaceInvariants,
     WeierstrassError,
     WeierstrassTriple,
-    discriminant,
     normalize,
     validate,
 )
@@ -57,12 +56,16 @@ from .weierstrass import (
 def twist(t: WeierstrassTriple) -> WeierstrassTriple:
     """(p, q) -> (p, -q): same complex surface, conjugate real structure.
 
-    Delta = 4p^3 + 27q^2 is unchanged, so the twisted triple takes over
-    t's discriminant instead of building it again.
+    Delta = 4p^3 + 27q^2 is unchanged, and gcd(p, q) and the Yun
+    decompositions are normalized to lc > 0, so none of them sees the
+    sign of q: the twisted triple takes over whichever of them t has
+    built instead of building it again.
     """
     out = WeierstrassTriple(t.k, t.p, -t.q)
     # cached_property reads its value from the instance dict first
-    out.__dict__["delta"] = t.delta
+    for name in ("delta", "pq_gcd", "p_yun", "q_yun"):
+        if name in t.__dict__:
+            out.__dict__[name] = t.__dict__[name]
     return out
 
 
@@ -90,7 +93,7 @@ def make_params(t: WeierstrassTriple, a, b) -> I0StarParams:
         a, b = b, a
     for x in (a, b):
         pt = finite(x)
-        for name, form in (("p", t.p), ("q", t.q), ("Delta", discriminant(t))):
+        for name, form in (("p", t.p), ("q", t.q), ("Delta", t.delta)):
             if form.is_zero:
                 continue
             if sign_at(form, pt) == 0:
@@ -140,7 +143,7 @@ def verify_twist(t: WeierstrassTriple, t_twisted: WeierstrassTriple) -> Verifica
     checks = [
         CheckItem(
             "discriminant_unchanged",
-            rebuilt == discriminant(t),
+            rebuilt == t.delta,
             "4p'^3 + 27q'^2 == Delta of the input",
         )
     ]
@@ -177,9 +180,8 @@ def verify_i0star(
     """
     checks: List[CheckItem] = []
     r = BinForm.from_linear_roots([params.a, params.b])
-    delta_x = discriminant(t)
-    delta_y = discriminant(t_y)
-    rel = r ** 6 * delta_x
+    delta_y = t_y.delta
+    rel = r ** 6 * t.delta
     checks.append(
         CheckItem(
             "discriminant_relation",

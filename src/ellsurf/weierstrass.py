@@ -17,10 +17,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm, form_gcd
+from .binform import BinForm
 from .roots import INFINITY, CirclePoint, factor_order, rational_split
 
 
@@ -60,9 +60,28 @@ class WeierstrassTriple:
         return 4 * self.p ** 3 + 27 * self.q ** 2
 
     @functools.cached_property
+    def pq_gcd(self) -> list:
+        """gcd(p, q) of the affine data (primitive, lc > 0), built on first use and kept.
+
+        A zero form is the zero polynomial, so the gcd is then the other
+        form's data.
+        """
+        return ip.gcd(self.p.affine_int(), self.q.affine_int())
+
+    @functools.cached_property
+    def p_yun(self) -> Optional[list]:
+        """Yun's decomposition of p's affine data, None for p = 0; built on first use and kept."""
+        return None if self.p.is_zero else ip.yun_decomposition(self.p.affine_int())
+
+    @functools.cached_property
+    def q_yun(self) -> Optional[list]:
+        """Yun's decomposition of q's affine data, None for q = 0; built on first use and kept."""
+        return None if self.q.is_zero else ip.yun_decomposition(self.q.affine_int())
+
+    @functools.cached_property
     def fibers(self) -> Tuple[FiberReport, ...]:
         """The fiber reports of classify_fibers, built on first use and kept."""
-        return tuple(classify_fibers(self)[0])
+        return tuple(classify_fibers(self))
 
     @functools.cached_property
     def topology(self):
@@ -79,10 +98,8 @@ class WeierstrassTriple:
 def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     """Check degrees, nonzero discriminant and minimality; return the triple.
 
-    Minimality is decided without factoring over extensions: a common
-    root of order (>=4, >=6) of (p, q) anywhere on the complex projective
-    line is exactly a common factor of p with its derivatives to order 3
-    and q with its derivatives to order 5, taken in both affine charts.
+    Minimality is read from gcd(p, q) and the Yun decompositions of p
+    and q, which the triple keeps for classification (_nonminimal_witness).
     """
     if k < 1:
         raise WeierstrassError("k must be a positive integer")
@@ -93,63 +110,43 @@ def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     t = WeierstrassTriple(k, p, q)
     if t.delta.is_zero:
         raise DeltaIdenticallyZero()
-    witness = _nonminimal_witness(p, q)
+    witness = _nonminimal_witness(t)
     if witness is not None:
         raise NonMinimal(witness)
     return t
 
 
-def _derivative_chain(f: BinForm, order: int) -> Iterator[BinForm]:
-    """f and its pure u- and v-derivatives up to the given order, each built when asked for."""
-    yield f
-    cur = f
-    for _ in range(order):
-        cur = cur.u_derivative()
-        if cur.is_zero:
-            break
-        yield cur
-    cur = f
-    for _ in range(order):
-        cur = cur.v_derivative()
-        if cur.is_zero:
-            break
-        yield cur
+def _nonminimal_witness(t: WeierstrassTriple):
+    """A witness of the minimality failure, or None when t is minimal.
 
-
-def _nonminimal_witness(p: BinForm, q: BinForm):
-    """A witness of the minimality failure, or None when (p, q) is minimal.
-
-    A point has p-order >= 4 and q-order >= 6 iff it is a common root of
-    the chains of pure partial derivatives (orders 0..3 of p and 0..5 of
-    q, in both charts); an identically zero form imposes no constraint.
-    The derivatives are built as the gcd fold reaches them, which for
-    most data stops at gcd(p, p_u).
+    A point offends when p vanishes there to order >= 4 and q to order
+    >= 6; a zero form imposes no condition.  Infinity is decided by the
+    v-orders and comes first.  A finite offender is a root of gcd(p, q),
+    so a constant gcd means minimal.  Otherwise, with P_i and Q_j the Yun
+    components of p and q, the finite offenders are the roots of
+    gcd(prod_{i>=4} P_i, prod_{j>=6} Q_j), which is squarefree; the
+    witness is its first rational root, else its rest without rational
+    roots (rational_split).
     """
-    if p.is_zero:
-        chain = _derivative_chain(q, 5)
-    elif q.is_zero:
-        chain = _derivative_chain(p, 3)
-    else:
-        chain = (f for part in (_derivative_chain(p, 3), _derivative_chain(q, 5)) for f in part)
-    g: Optional[BinForm] = None
-    for f in chain:
-        if f.is_zero:
-            continue
-        g = f if g is None else form_gcd(g, f)
-        if g.degree == 0:
-            return None
-    assert g is not None and g.degree >= 1
-    if g.v_order_at_infinity() >= 1:
+    if all(f.is_zero or f.v_order_at_infinity() >= m for f, m in ((t.p, 4), (t.q, 6))):
         return INFINITY
-    factor, pts = rational_split(ip.squarefree_part(g.affine_int()))[0]
+    if ip.degree(t.pq_gcd) < 1:
+        return None
+    offenders = None
+    for yun, m in ((t.p_yun, 4), (t.q_yun, 6)):
+        if yun is None:
+            continue
+        high = [1]
+        for comp, i in yun:
+            if i >= m:
+                high = ip.mul(high, comp)
+        offenders = high if offenders is None else ip.gcd(offenders, high)
+    if ip.degree(offenders) < 1:
+        return None
+    factor, pts = rational_split(offenders)[0]
     if pts:
         return pts[0]
     return BinForm.from_affine(ip.degree(factor), factor)
-
-
-def discriminant(t: WeierstrassTriple) -> BinForm:
-    """4 p^3 + 27 q^2, a form of degree 12k; the same object on every call."""
-    return t.delta
 
 
 def normalize(t: WeierstrassTriple) -> WeierstrassTriple:
@@ -344,7 +341,7 @@ class SurfaceInvariants:
         return SurfaceInvariants(k=k, chi_top=12 * k, h11=10 * k, b2=12 * k - 2)
 
 
-def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInvariants]:
+def classify_fibers(t: WeierstrassTriple) -> List[FiberReport]:
     """One report per singular fiber; conjugate pairs share a report.
 
     Delta is cut into strata with gcds only (_strata): squarefree pieces
@@ -355,11 +352,8 @@ def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInv
     the irreducible factors of Delta whenever every rest is irreducible.
     The Euler numbers are summed and checked against 12k.
     """
-    delta = discriminant(t)
-    pa = None if t.p.is_zero else t.p.affine_int()
-    qa = None if t.q.is_zero else t.q.affine_int()
     units = []
-    for piece, v_p, v_q, v_delta in _strata(delta.affine_int(), pa, qa):
+    for piece, v_p, v_q, v_delta in _strata(t):
         kod = kodaira_from_valuations(v_p, v_q, v_delta)
         for factor, pts in rational_split(piece):
             units.append((factor, pts, v_p, v_q, v_delta, kod))
@@ -374,7 +368,7 @@ def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInv
             tag = ConjugatePairTag(BinForm.from_affine(ip.degree(factor), factor), pairs)
             reports.append(FiberReport(tag, v_p, v_q, v_delta, kod, is_real=False))
 
-    v_delta_inf = delta.v_order_at_infinity()
+    v_delta_inf = t.delta.v_order_at_infinity()
     if v_delta_inf >= 1:
         v_p_inf = None if t.p.is_zero else t.p.v_order_at_infinity()
         v_q_inf = None if t.q.is_zero else t.q.v_order_at_infinity()
@@ -389,10 +383,10 @@ def classify_fibers(t: WeierstrassTriple) -> Tuple[List[FiberReport], SurfaceInv
             f"Euler numbers sum to {total_euler}, expected {12 * t.k}: "
             "fiber classification is inconsistent"
         )
-    return reports, SurfaceInvariants.for_k(t.k)
+    return reports
 
 
-def _strata(da: list, pa: Optional[list], qa: Optional[list]) -> list:
+def _strata(t: WeierstrassTriple) -> list:
     """[(piece, v_p, v_q, v_Delta)]: squarefree pieces covering the finite roots of Delta.
 
     Every root of a piece has the same orders; None stands for a zero
@@ -400,24 +394,18 @@ def _strata(da: list, pa: Optional[list], qa: Optional[list]) -> list:
     Delta = 4p^3 + 27q^2, a root of Delta is a root of p exactly when it
     is one of q, i.e. a root of gcd(p, q); the rest of each component
     has v_p = v_q = 0.  The shared part is split by gcds with the Yun
-    components of p and then of q, which are computed only when some
-    component shares a root with p and q.
+    components of p and then of q, which the triple keeps and which are
+    read only when some component shares a root with p and q.
     """
-    if pa is None or qa is None:
-        shared = qa if pa is None else pa
-    else:
-        shared = ip.gcd(pa, qa)
-    yun_pq = None
+    shared = t.pq_gcd
     strata = []
-    for g, v_delta in ip.yun_decomposition(da):
+    for g, v_delta in ip.yun_decomposition(t.delta.affine_int()):
         if ip.degree(shared) >= 1:
             common = ip.gcd(g, shared)
             if ip.degree(common) >= 1:
                 g = ip.try_div_exact(g, common)
-                if yun_pq is None:
-                    yun_pq = [None if f is None else ip.yun_decomposition(f) for f in (pa, qa)]
-                for piece_p, v_p in _split_by_order(common, yun_pq[0]):
-                    for piece, v_q in _split_by_order(piece_p, yun_pq[1]):
+                for piece_p, v_p in _split_by_order(common, t.p_yun):
+                    for piece, v_q in _split_by_order(piece_p, t.q_yun):
                         strata.append((piece, v_p, v_q, v_delta))
         if ip.degree(g) >= 1:
             strata.append((g, 0, 0, v_delta))

@@ -1,10 +1,12 @@
 import contextlib
 import signal
+import time
 
 import pytest
 
 from ellsurf import BinForm, WeierstrassTriple, i0star_transform, make_params, validate
 from ellsurf import _intpoly as ip
+from ellsurf.roots import INFINITY, circle_sort_key_refine, rational_split
 
 U = BinForm.make(1, [0, 1])
 V = BinForm.make(1, [1, 0])
@@ -72,6 +74,65 @@ def sturm_bisection(s):
     return out
 
 
+def circle_roots(f):
+    """The distinct real roots of the form f in circle order.
+
+    rational_split of the squarefree part gives the finite ones,
+    circle_sort_key_refine orders them, and inf follows when v divides f.
+    """
+    pts = [pt for _, unit in rational_split(ip.squarefree_part(f.affine_int())) for pt in unit]
+    if f.v_order_at_infinity() >= 1:
+        pts.append(INFINITY)
+    return circle_sort_key_refine(pts)
+
+
+def _d_du(f):
+    return BinForm(f.degree - 1, tuple(f.coeffs[i + 1] * (i + 1) for i in range(f.degree)))
+
+
+def _d_dv(f):
+    return BinForm(f.degree - 1, tuple(f.coeffs[i] * (f.degree - i) for i in range(f.degree)))
+
+
+def _pure_derivatives(f, order):
+    """f and its nonzero pure u- and v-derivatives up to the given order."""
+    out = [f]
+    for partial in (_d_du, _d_dv):
+        cur = f
+        for _ in range(order):
+            if cur.degree == 0:
+                break
+            cur = partial(cur)
+            if cur.is_zero:
+                break
+            out.append(cur)
+    return out
+
+
+def nonminimal_witness_reference(p, q):
+    """str of the non-minimality witness by gcds of pure derivatives, or None: the reference for validate.
+
+    A point has p-order >= 4 and q-order >= 6 exactly when it is a
+    common root of p with its pure u- and v-derivatives to order 3 and
+    of q with its derivatives to order 5; a zero form imposes no
+    condition.  The gcd of those forms counts infinity by the least
+    v-order.  The witness is inf when that gcd vanishes there, else the
+    first unit of rational_split of its squarefree part: its first
+    rational point, else the first real point of the rest, else the
+    rest as a form.
+    """
+    forms = [d for f, order in ((p, 3), (q, 5)) if not f.is_zero for d in _pure_derivatives(f, order)]
+    g, m = forms[0].affine_int(), forms[0].v_order_at_infinity()
+    for f in forms[1:]:
+        g, m = ip.gcd(g, f.affine_int()), min(m, f.v_order_at_infinity())
+    if m >= 1:
+        return "inf"
+    if ip.degree(g) < 1:
+        return None
+    factor, pts = rational_split(ip.squarefree_part(g))[0]
+    return str(pts[0] if pts else BinForm.from_affine(ip.degree(factor), factor))
+
+
 def interlace_sextic():
     """(u^2 - v^2)(u^2 - 4v^2)(u^2 - 9v^2): six rational roots +-1, +-2, +-3."""
     return (U * U - V * V) * (U * U - 4 * V * V) * (U * U - 9 * V * V)
@@ -79,18 +140,39 @@ def interlace_sextic():
 
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
+    """Raise TimeoutError in the block once it has run for `seconds`.
+
+    Limits nest: an enclosing limit that expires first still fires, and
+    on exit it is re-armed with the time it has left.
+    """
 
     def expire(signum, frame):
         raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    if 0 < outer < seconds:
+        signal.setitimer(signal.ITIMER_REAL, outer)
+    start = time.monotonic()
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # an outer limit that ran out meanwhile fires at once
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
+
+
+# no test takes more than a few seconds; one that hangs fails instead of
+# holding up the suite
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def _per_test_time_limit():
+    with time_limit(TEST_TIME_LIMIT):
+        yield
 
 
 @pytest.fixture(scope="session")

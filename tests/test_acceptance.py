@@ -45,7 +45,7 @@ def _real_generic_samples(seed, k, count, height=9):
 
 def test_criterion_1_worked_fixture_w1(w1):
     start = time.monotonic()
-    reports, inv = classify_fibers(w1)
+    reports = classify_fibers(w1)
     assert len(reports) == 12
     assert all(r.is_real and r.kodaira.symbol == "I1" for r in reports)
     dec = arc_decomposition(w1)
@@ -69,10 +69,9 @@ def test_criterion_2_euler_sum_on_500_triples():
     for k, quota in ((1, 250), (2, 150), (3, 100)):
         for _ in range(quota):
             t = random_valid_triple(rng, k, height=9)
-            # the check is the assertion inside classify_fibers, sum e = 12k;
-            # inv.chi_top is SurfaceInvariants.for_k(k), 12k by definition
-            _, inv = classify_fibers(t)
-            assert inv.chi_top == 12 * k
+            # sum e = 12k, which classify_fibers also asserts
+            reports = classify_fibers(t)
+            assert sum(r.kodaira.euler_number * r.multiplicity_weight for r in reports) == 12 * k
             checked += 1
     assert checked >= 500
     print(f"PASS criterion 2: Euler sum = 12k exactly on {checked} fuzzed triples")

@@ -98,7 +98,7 @@ def _triples():
 
 @pytest.mark.parametrize("t", [pytest.param(t, id=name) for name, t in _triples()])
 def test_matches_sympy_factor_reference(t):
-    reports, _ = classify_fibers(t)
+    reports = classify_fibers(t)
     expected, real = _reference(t)
     got = Counter()
     for r in reports:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,25 @@ class TestFuzzCommand:
         assert result.exit_code == 1, result.output
         assert "\nVIOLATION[oracle]: pipeline (h0, h1, chi) = " in result.output
         assert '"violating_triple": {' in result.output
+
+    def test_euler_sum_mismatch_is_a_violation(self, runner, monkeypatch):
+        # read every I1 fiber as I2: the sum exceeds 12k and classify_fibers raises
+        import ellsurf.weierstrass
+        from ellsurf.fuzz import random_valid_triple
+
+        kodaira = ellsurf.weierstrass.kodaira_from_valuations
+
+        def misread(v_p, v_q, v_delta):
+            kod = kodaira(v_p, v_q, v_delta)
+            return ellsurf.weierstrass.KodairaType("I", 2) if kod.symbol == "I1" else kod
+
+        monkeypatch.setattr(ellsurf.weierstrass, "kodaira_from_valuations", misread)
+        result = runner.invoke(main, ["fuzz", "--k", "1", "--trials", "1", "--seed", "4"])
+        assert result.exit_code == 1, result.output
+        assert "\nVIOLATION[euler-sum]: Euler numbers sum to " in result.output
+        assert ", expected 12: fiber classification is inconsistent\n" in result.output
+        t = random_valid_triple(random.Random(4), 1)
+        assert result.output.endswith(dump_json({"violating_triple": triple_to_document(t)}))
 
 
 class TestSearchCommand:

@@ -10,14 +10,12 @@ from ellsurf import (
     NonMinimal,
     betti,
     classify_fibers,
-    discriminant,
-    isolate_real_roots,
     validate,
 )
 from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
 
-from conftest import U, V, interlace_sextic, monomial, rescale
+from conftest import U, V, circle_roots, interlace_sextic, monomial, rescale
 
 
 class TestDiscriminantBookkeeping:
@@ -26,20 +24,17 @@ class TestDiscriminantBookkeeping:
         for k in (1, 2):
             for _ in range(8):
                 t = random_valid_triple(rng, k, height=7)
-                delta = discriminant(t)
-                assert delta.degree == 12 * k
-                reports, _ = classify_fibers(t)
+                assert t.delta.degree == 12 * k
+                reports = classify_fibers(t)
                 total = sum(r.v_delta * r.multiplicity_weight for r in reports)
                 # roots of Delta counted with multiplicity over C fill the degree
                 assert total == 12 * k
 
     def test_isolating_intervals_disjoint_with_one_root_each(self):
-        delta = discriminant(
-            validate(1, -3 * V ** 4, 2 * V ** 6 + interlace_sextic())
-        )
+        delta = validate(1, -3 * V ** 4, 2 * V ** 6 + interlace_sextic()).delta
         sq = ip.squarefree_part(delta.affine_int())
         chain = ip.sturm_chain(sq)
-        order = isolate_real_roots(delta)
+        order = circle_roots(delta)
         finite_pts = [p for p in order if hasattr(p, "lo") or hasattr(p, "value")]
         intervals = []
         for p in finite_pts:
@@ -95,7 +90,7 @@ class TestRealGenericityTwoRoutes:
     """Per-fiber v_delta == 1 iff gcd(Delta, Delta') has no real root."""
 
     def _generic_by_gcd(self, t):
-        delta = discriminant(t)
+        delta = t.delta
         da = delta.affine_int()
         g = ip.gcd(da, ip.derivative(da))
         affine_multiple = ip.degree(g) >= 1 and ip.count_real_roots(g) > 0
@@ -103,7 +98,7 @@ class TestRealGenericityTwoRoutes:
         return not (affine_multiple or infinity_multiple)
 
     def _generic_by_fibers(self, t):
-        reports, _ = classify_fibers(t)
+        reports = classify_fibers(t)
         return all(r.v_delta == 1 for r in reports if r.is_real)
 
     def test_routes_agree_on_fuzzed(self):
@@ -130,7 +125,7 @@ class TestRescaleInvariance:
         t = validate(1, -3 * V ** 4, monomial(6, 1))
 
         def key(s):
-            reports, _ = classify_fibers(s)
+            reports = classify_fibers(s)
             return sorted(
                 (r.kodaira.symbol, r.v_delta, r.is_real, r.multiplicity_weight)
                 for r in reports

@@ -175,7 +175,7 @@ class TestAgreement:
                 t = validate(1, p, q)
             except WeierstrassError:
                 continue
-            reports, _ = classify_fibers(t)
+            reports = classify_fibers(t)
             inf_nodal = any(
                 str(r.location) == "inf" and r.kodaira.symbol == "I1" for r in reports
             )

@@ -13,7 +13,6 @@ from ellsurf import (
     AlgebraicPoint,
     BinForm,
     finite,
-    isolate_real_roots,
     sign_at,
     simplest_between,
 )
@@ -27,7 +26,7 @@ from ellsurf.roots import (
     sample_between,
 )
 
-from conftest import U, V, interlace_sextic, poly_mul, time_limit
+from conftest import U, V, circle_roots, interlace_sextic, poly_mul, time_limit
 
 
 def sqrt2_point():
@@ -56,25 +55,25 @@ def _sympy_sign_at_root(g, s, lo, hi):
 
 class TestIsolation:
     def test_no_real_roots(self):
-        assert len(isolate_real_roots(U * U + V * V)) == 0
+        assert len(circle_roots(U * U + V * V)) == 0
 
     def test_rational_and_infinity(self):
-        order = isolate_real_roots(U * V * (U - V))
+        order = circle_roots(U * V * (U - V))
         values = [str(p) for p in order]
         assert values == ["0", "1", "inf"]
 
     def test_six_rational_roots(self):
-        order = isolate_real_roots(interlace_sextic())
+        order = circle_roots(interlace_sextic())
         assert [p.value for p in order] == [-3, -2, -1, 1, 2, 3]
 
     def test_irrational_roots_isolated(self):
-        order = isolate_real_roots(U * U - 2 * V * V)
+        order = circle_roots(U * U - 2 * V * V)
         assert len(order) == 2
         for p in order:
             assert isinstance(p, AlgebraicPoint)
 
     def test_multiplicities_collapsed(self):
-        order = isolate_real_roots((U - V) ** 5)
+        order = circle_roots((U - V) ** 5)
         assert [p.value for p in order] == [1]
 
     def test_count_matches_sturm(self):
@@ -85,7 +84,7 @@ class TestIsolation:
             f = BinForm.make(d, coeffs)
             if f.is_zero:
                 continue
-            order = isolate_real_roots(f)
+            order = circle_roots(f)
             affine = ip.squarefree_part(f.affine_int())
             expected = ip.count_real_roots(affine)
             expected += 1 if f.v_order_at_infinity() >= 1 else 0
@@ -105,7 +104,7 @@ class TestIsolation:
             g = BinForm(f.degree, tuple(reversed(f.coeffs)))  # u and v swapped
             chart2 = ip.count_real_roots(ip.squarefree_part(g.affine_int()))
             chart2 += 1 if g.v_order_at_infinity() >= 1 else 0
-            assert chart1 == chart2 == len(isolate_real_roots(f))
+            assert chart1 == chart2 == len(circle_roots(f))
 
 
 class TestSignAt:
@@ -191,7 +190,7 @@ class TestProperties:
             return INFINITY
         shift = rng.randint(-3, 3)
         defi = (U - shift * V) ** 2 - 2 * V * V  # root shift + sqrt(2)
-        return AlgebraicPoint(defi.primitive(), Fraction(shift) + 1, Fraction(shift) + 2)
+        return AlgebraicPoint(defi.content_and_primitive()[1], Fraction(shift) + 1, Fraction(shift) + 2)
 
     def test_sign_multiplicative(self):
         rng = random.Random(5)

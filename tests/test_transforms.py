@@ -14,7 +14,6 @@ from ellsurf import (
     SearchBudget,
     betti,
     classify_fibers,
-    discriminant,
     i0star_transform,
     make_params,
     normalize,
@@ -25,9 +24,11 @@ from ellsurf import (
     verify_i0star,
     verify_twist,
 )
+from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement, compare, oracle_topology
 from ellsurf.topology import I1_MINUS, I1_PLUS, NotRealGeneric, arc_decomposition
+from ellsurf.transforms import _family_g_h
 from ellsurf.weierstrass import WeierstrassError, WeierstrassTriple
 
 from conftest import U, V, iterate_i0star
@@ -40,14 +41,40 @@ class TestTwist:
 
     def test_preserves_discriminant(self, w1):
         tw = twist(w1)
-        assert discriminant(tw) == 4 * tw.p ** 3 + 27 * tw.q ** 2 == discriminant(w1)
+        assert tw.delta == 4 * tw.p ** 3 + 27 * tw.q ** 2 == w1.delta
 
     def test_hands_the_discriminant_on(self, w1):
-        assert discriminant(twist(w1)) is discriminant(w1)
+        assert twist(w1).delta is w1.delta
+
+    def test_search_candidate_and_twist_share_one_gcd_and_yun_of_p_and_q(self, monkeypatch):
+        # h0 = 5 at k = 2: p = -3g^2 and q = 2g^3 - 2^-10 h share u^2 + v^2
+        g, h = _family_g_h(2, 4, 0, 0)
+        p, q = -3 * g ** 2, 2 * g ** 3 - Fraction(1, 2 ** 10) * h
+        pa, qa = p.affine_int(), q.affine_int()
+        yun_of, gcd_of = [], []
+        yun_decomposition, gcd = ip.yun_decomposition, ip.gcd
+
+        def counting_yun(f):
+            yun_of.append(ip.monic_sign(f))
+            return yun_decomposition(f)
+
+        def counting_gcd(f, g):
+            gcd_of.append(sorted([ip.monic_sign(f), ip.monic_sign(g)]))
+            return gcd(f, g)
+
+        monkeypatch.setattr(ip, "yun_decomposition", counting_yun)
+        monkeypatch.setattr(ip, "gcd", counting_gcd)
+        t = validate(2, p, q)
+        t.fibers
+        twisted = twist(t)
+        assert any(r.kodaira.symbol == "IV" for r in twisted.fibers)
+        assert yun_of.count(ip.monic_sign(pa)) == 1
+        assert yun_of.count(ip.monic_sign(qa)) == 1
+        assert gcd_of.count(sorted([ip.monic_sign(pa), ip.monic_sign(qa)])) == 1
 
     def test_preserves_complex_fiber_data(self, w1):
         def key(t):
-            reports, _ = classify_fibers(t)
+            reports = classify_fibers(t)
             return sorted(
                 (r.kodaira.symbol, r.v_delta, r.multiplicity_weight) for r in reports
             )
@@ -109,7 +136,7 @@ class TestI0StarTransform:
         y = i0star_transform(w1, params)
         assert y.k == 2
         r = BinForm.from_linear_roots([4, 5])
-        assert discriminant(y) == r ** 6 * discriminant(w1)
+        assert y.delta == r ** 6 * w1.delta
 
     def test_j_preserved(self, w1):
         params = make_params(w1, 4, 5)
@@ -153,7 +180,7 @@ class TestI0StarTransform:
         y = i0star_transform(t, params)
         ver = verify_i0star(t, params, y)
         assert ver.ok, ver.failures()
-        reports, _ = classify_fibers(y)
+        reports = classify_fibers(y)
         at_centers = [
             r for r in reports if isinstance(r.location, FinitePoint) and r.location.value in (4, 5)
         ]
@@ -164,9 +191,10 @@ class TestI0StarTransform:
     def test_sum_euler_grows_by_12(self, w1):
         params = make_params(w1, 4, 5)
         y = i0star_transform(w1, params)
-        _, inv_x = classify_fibers(w1)
-        _, inv_y = classify_fibers(y)
-        assert inv_y.chi_top == inv_x.chi_top + 12
+        def euler_sum(t):
+            return sum(r.kodaira.euler_number * r.multiplicity_weight for r in classify_fibers(t))
+
+        assert euler_sum(y) == euler_sum(w1) + 12
 
     def test_fuzzed_verification(self):
         rng = random.Random(9)
@@ -193,7 +221,7 @@ class TestIterate:
     def test_two_steps(self, w1):
         y = iterate_i0star(w1, [(4, 5), (6, 7)])
         assert y.k == 3
-        reports, _ = classify_fibers(y)
+        reports = classify_fibers(y)
         istars = [r for r in reports if r.kodaira.symbol == "I0*"]
         assert len(istars) == 4
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellsurf import (
@@ -15,18 +15,28 @@ from ellsurf import (
     FinitePoint,
     InfinityPoint,
     NonMinimal,
+    SurfaceInvariants,
     WeierstrassError,
     WeierstrassTriple,
     classify_fibers,
-    discriminant,
     normalize,
     validate,
 )
 from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
+from ellsurf.transforms import _family_g_h
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V, interlace_sextic, monomial, poly_mul, rescale, time_limit
+from conftest import (
+    U,
+    V,
+    interlace_sextic,
+    monomial,
+    nonminimal_witness_reference,
+    poly_mul,
+    rescale,
+    time_limit,
+)
 
 
 def _sympy_normalize(t):
@@ -85,7 +95,7 @@ _CONTENTS = st.lists(st.tuples(_PRIMES, st.integers(-7, 7)), max_size=3).map(_pr
 class TestValidate:
     def test_istar_pair_is_valid(self):
         t = validate(1, monomial(4, 2), monomial(6, 3))
-        assert discriminant(t) == monomial(12, 6, 31)
+        assert t.delta == monomial(12, 6, 31)
 
     def test_nonminimal_at_zero(self):
         with pytest.raises(NonMinimal) as err:
@@ -116,45 +126,87 @@ class TestValidate:
             validate(2, w ** 4, w ** 6)
         assert isinstance(err.value.witness, BinForm)
 
-    def test_minimality_builds_derivatives_only_as_far_as_the_gcds_go(self, monkeypatch):
-        # a squarefree p has gcd(p, p_u) constant: one u-derivative decides
-        rng = random.Random(61)
-        t = random_valid_triple(rng, 2)
-        a = t.p.affine_int()
-        assert ip.degree(ip.gcd(a, ip.derivative(a))) == 0 and t.p.v_order_at_infinity() <= 1
-        calls = {"u": 0, "v": 0}
-        u_derivative, v_derivative = BinForm.u_derivative, BinForm.v_derivative
+    def test_witness_matches_derivative_chain_reference(self):
+        seen = {"minimal": 0, "non-minimal": 0}
 
-        def counting_u(f):
-            calls["u"] += 1
-            return u_derivative(f)
+        @given(_minimality_pairs())
+        @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        def check(pair):
+            k, p, q = pair
+            assume(not (4 * p ** 3 + 27 * q ** 2).is_zero)
+            expected = nonminimal_witness_reference(p, q)
+            try:
+                validate(k, p, q)
+                got = None
+            except NonMinimal as exc:
+                got = str(exc.witness)
+            assert got == expected
+            seen["minimal" if expected is None else "non-minimal"] += 1
 
-        def counting_v(f):
-            calls["v"] += 1
-            return v_derivative(f)
+        check()
+        assert sum(seen.values()) >= 500
+        assert seen["non-minimal"] >= sum(seen.values()) / 10
 
-        monkeypatch.setattr(BinForm, "u_derivative", counting_u)
-        monkeypatch.setattr(BinForm, "v_derivative", counting_v)
-        validate(t.k, t.p, t.q)
-        assert calls == {"u": 1, "v": 0}
+
+def _shared_factor(draw, k):
+    """An r of degree <= k: rational, at infinity, conjugate pair, irrational, or a product."""
+    kind = draw(st.sampled_from(["rational", "infinity", "conjugate-pair", "irrational"]))
+    if kind == "rational":
+        r = U - draw(st.fractions(-4, 4, max_denominator=3)) * V
+    elif kind == "infinity":
+        r = V
+    else:
+        b = draw(st.integers(-3, 3))
+        if kind == "conjugate-pair":
+            c = Fraction(b * b // 4 + draw(st.integers(1, 4)))
+        else:
+            c = Fraction(b * b - draw(st.sampled_from([2, 3, 5, 6, 7])), 4)
+        r = U * U + b * U * V + c * V * V
+    if r.degree < k and draw(st.booleans()):
+        r = r * (U - draw(st.integers(-3, 3)) * V)
+    return r if r.degree <= k else V
+
+
+def _small_form(draw, degree, height):
+    return BinForm.make(degree, draw(st.lists(st.integers(-height, height), min_size=degree + 1, max_size=degree + 1)))
+
+
+@st.composite
+def _minimality_pairs(draw):
+    """(k, p, q) at k <= 3: random, search-family, (r^4 p0, r^6 q0) or (r^i p0, r^j q0)."""
+    k = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["random", "search", "r^4, r^6", "r^i, r^j"]))
+    if family == "random":
+        return k, _small_form(draw, 4 * k, 2), _small_form(draw, 6 * k, 2)
+    if family == "search":
+        h0 = draw(st.integers(1, 4 * k + 1))
+        pairs = min(h0 - 1, 3 * k)
+        g, h = _family_g_h(k, pairs, h0 - 1 - pairs, 0)
+        eps = -(Fraction(1, 2) ** draw(st.integers(0, 39)))
+        return k, -3 * g ** 2, 2 * g ** 3 + eps * h
+    r = _shared_factor(draw, k)
+    i, j = (4, 6) if family == "r^4, r^6" else (draw(st.integers(0, 4)), draw(st.integers(0, 6)))
+    p = r ** i * _small_form(draw, 4 * k - i * r.degree, 3)
+    q = r ** j * _small_form(draw, 6 * k - j * r.degree, 3)
+    return k, p, q
 
 
 class TestDiscriminant:
     def test_q_only(self):
         t = WeierstrassTriple(1, BinForm.zero(4), V ** 6)
-        assert discriminant(t) == 27 * V ** 12
+        assert t.delta == 27 * V ** 12
 
     def test_monomials(self):
         t = validate(1, monomial(4, 2), monomial(6, 3))
-        assert discriminant(t) == monomial(12, 6, 31)
+        assert t.delta == monomial(12, 6, 31)
 
     def test_built_once_per_triple(self, w1):
-        assert discriminant(w1) is discriminant(w1)
+        assert w1.delta is w1.delta
 
     def test_w1_factorization(self, w1):
         h = interlace_sextic()
         expected = 27 * h * (h + 4 * V ** 6)
-        assert discriminant(w1) == expected
+        assert w1.delta == expected
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -163,7 +215,7 @@ class TestDiscriminant:
         coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
         p = BinForm.make(4 * k, data.draw(st.lists(coeff, min_size=4 * k + 1, max_size=4 * k + 1)))
         q = BinForm.make(6 * k, data.draw(st.lists(coeff, min_size=6 * k + 1, max_size=6 * k + 1)))
-        delta = discriminant(WeierstrassTriple(k, p, q))
+        delta = WeierstrassTriple(k, p, q).delta
         assert delta == 4 * p ** 3 + 27 * q ** 2
         # and coefficient by coefficient over Q, with no library product
         p3 = poly_mul(poly_mul(list(p.coeffs), list(p.coeffs)), list(p.coeffs))
@@ -297,36 +349,41 @@ class TestKodairaTable:
             kodaira_from_valuations(4, 6, 12)
 
 
+def _euler_sum(reports):
+    return sum(r.kodaira.euler_number * r.multiplicity_weight for r in reports)
+
+
 class TestClassify:
     def test_two_istar_fibers(self):
         t = validate(1, monomial(4, 2), monomial(6, 3))
-        reports, inv = classify_fibers(t)
+        reports = classify_fibers(t)
         assert sorted(r.kodaira.symbol for r in reports) == ["I0*", "I0*"]
         assert all((r.v_p, r.v_q, r.v_delta) == (2, 3, 6) for r in reports)
+        inv = SurfaceInvariants.for_k(t.k)
         assert inv.chi_top == 12 and inv.h11 == 10 and inv.b2 == 10
 
     def test_iistar_plus_nodal(self):
         t = validate(1, -3 * V ** 4, monomial(6, 1))
-        reports, _ = classify_fibers(t)
+        reports = classify_fibers(t)
         by_symbol = sorted((r.kodaira.symbol, str(r.location)) for r in reports)
         assert by_symbol == [("I1", "-2"), ("I1", "2"), ("II*", "inf")]
 
     def test_conjugate_pairs_only(self):
         t = validate(1, BinForm.zero(4), monomial(6, 6) + monomial(6, 0))
-        reports, _ = classify_fibers(t)
+        reports = classify_fibers(t)
         assert all(not r.is_real for r in reports)
         assert all(r.kodaira.symbol == "II" for r in reports)
         assert sum(r.multiplicity_weight for r in reports) == 6
 
     def test_w1_all_nodal(self, w1):
-        reports, inv = classify_fibers(w1)
+        reports = classify_fibers(w1)
         assert len(reports) == 12
         assert all(r.is_real and r.kodaira.symbol == "I1" for r in reports)
-        assert inv.chi_top == 12
+        assert _euler_sum(reports) == 12
 
     def test_classification_rescale_invariant(self, w1):
         def key(t):
-            reports, _ = classify_fibers(t)
+            reports = classify_fibers(t)
             return sorted(
                 (r.kodaira.symbol, r.v_delta, r.is_real, r.multiplicity_weight)
                 for r in reports
@@ -341,17 +398,17 @@ class TestClassify:
         p = -3 * monomial(4, 2)
         q = monomial(6, 3, 2) + monomial(6, 4)
         t = validate(1, p, q)
-        reports, inv = classify_fibers(t)
+        reports = classify_fibers(t)
         table = {str(r.location): (r.kodaira.symbol, r.kodaira.euler_number) for r in reports}
         assert table["0"] == ("I1*", 7)
         assert table["inf"] == ("IV", 4)
         assert table["-4"] == ("I1", 1)
-        assert inv.chi_top == 12
+        assert _euler_sum(reports) == 12
 
     def test_euler_sum_holds_on_random_triples(self):
         rng = random.Random(123)
         for k in (1, 2):
             for _ in range(15):
                 t = random_valid_triple(rng, k, height=7)
-                _, inv = classify_fibers(t)  # raises internally on mismatch
-                assert inv.chi_top == 12 * k
+                # also asserted inside classify_fibers
+                assert _euler_sum(classify_fibers(t)) == 12 * k
