@@ -1,9 +1,9 @@
 """Dense univariate polynomial arithmetic over Z.
 
-A polynomial is a list of coefficients in ascending order of degree,
-with no trailing zeros; the zero polynomial is the empty list.  Integer
-lists are the working representation: every routine that takes rational
-input clears denominators first, since only signs, root locations and
+A polynomial is a list (or, as input, a tuple, which nothing here
+mutates) of integer coefficients in ascending order of degree, with no
+trailing zeros; the zero polynomial is empty.  A binary form hands over
+its stored integer numerator, since only signs, root locations and
 exact divisibility matter here.
 
 This module is the exact kernel underneath the binary-form layer: gcd
@@ -44,7 +44,7 @@ from math import gcd as int_gcd
 from math import isqrt
 from typing import Optional, Sequence
 
-IntPoly = list  # list[int], ascending, stripped
+IntPoly = list  # list[int] (a tuple as input), ascending, stripped
 
 
 def strip(coeffs: Sequence[int]) -> IntPoly:
@@ -114,19 +114,6 @@ def monic_sign(f: IntPoly) -> IntPoly:
     if g and g[-1] < 0:
         g = neg(g)
     return g
-
-
-def from_fractions(coeffs: Sequence[Fraction]) -> IntPoly:
-    """Clear denominators by the positive lcm; signs are preserved."""
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return []
-    den = 1
-    for x in c:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    return strip([int(x * den) for x in c])
 
 
 def eval_hom(f: IntPoly, num: int, den: int) -> int:
@@ -644,7 +631,7 @@ def variations_in(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """
     den = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
     p, q = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    d = f[::-1]
+    d = list(reversed(f))
     if den != 1:
         scale = 1
         for k in range(1, len(d)):

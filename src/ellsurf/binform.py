@@ -1,11 +1,15 @@
-"""Homogeneous binary forms with exact rational coefficients.
+"""Homogeneous binary forms with rational coefficients, stored as integers.
 
-A form of degree d in (u, v) is stored as d+1 coefficients, entry i
-being the coefficient of u^i v^(d-i).  The degree is part of the data:
-a form may have vanishing top or bottom entries, which is how roots at
-infinity (1:0) and at 0 are encoded.  Working affine data is obtained
-by dehomogenizing at v=1 (which keeps every finite root) together with
-the order of vanishing at infinity.
+A form f of degree d in (u, v) has d+1 coefficients, entry i being the
+coefficient of u^i v^(d-i).  The degree is part of the data: a form may
+have vanishing top or bottom entries, which is how roots at infinity
+(1:0) and at 0 are encoded.  f is stored as f(u, 1) = num(u) / den: the
+dehomogenization at v=1 (which keeps every finite root) as an integer
+polynomial over one positive denominator, in lowest terms.  The order
+of vanishing at infinity is the degree minus the degree of num.  The
+exact kernels of _intpoly read num as it is stored, and the arithmetic
+here stays in integers; Fraction coefficients are built only for
+documents and printing.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple, Union
 
 from . import _intpoly as ip
@@ -27,86 +31,103 @@ class FormDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class BinForm:
-    """Binary form of fixed degree with Fraction coefficients."""
+    """Binary form of fixed degree: f(u, 1) = num(u) / den.
+
+    num is the ascending integer tuple without trailing zeros (empty for
+    the zero form), den > 0, and den is coprime to the content of num.
+    That normal form makes equality and hashing by value; build forms
+    with make or from_affine, which normalize.
+    """
 
     degree: int
-    coeffs: Tuple[Fraction, ...]
+    num: Tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError(
-                f"degree {self.degree} form needs {self.degree + 1} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
+        # the cheap half of the normal form; the content is reduced by _normal
+        n = self.num
+        if self.degree < 0 or self.den < 1 or len(n) > self.degree + 1 or (n and not n[-1]):
+            raise ValueError(f"not a form in normal form: {self!r}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def make(degree: int, coeffs: Iterable[Scalar]) -> "BinForm":
-        return BinForm(degree, tuple(Fraction(c) for c in coeffs))
-
-    @staticmethod
-    def zero(degree: int) -> "BinForm":
-        return BinForm(degree, tuple([Fraction(0)] * (degree + 1)))
+        """The form with the given degree + 1 coefficients, u^i v^(degree-i) at entry i."""
+        coeffs = list(coeffs)
+        if len(coeffs) != degree + 1:
+            raise ValueError(
+                f"degree {degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
+            )
+        return BinForm.from_affine(degree, coeffs)
 
     @staticmethod
     def from_affine(degree: int, affine: Sequence[Scalar]) -> "BinForm":
-        """Homogenize an affine polynomial in u to the given degree."""
-        a = [Fraction(c) for c in affine]
-        if len(a) > degree + 1:
+        """Homogenize an affine polynomial in u (ascending) to the given degree."""
+        if len(affine) > degree + 1:
             raise FormDegreeError("affine degree exceeds container degree")
-        a += [Fraction(0)] * (degree + 1 - len(a))
-        return BinForm(degree, tuple(a))
+        den = lcm(*(c.denominator for c in affine))
+        return BinForm._normal(degree, [c.numerator * (den // c.denominator) for c in affine], den)
+
+    @staticmethod
+    def _normal(degree: int, num: Sequence[int], den: int) -> "BinForm":
+        """num(u) / den homogenized to degree, for den > 0: stripped and in lowest terms."""
+        num = ip.strip(num)
+        g = gcd(den, *num) if den > 1 else 1
+        if g > 1:
+            num, den = [c // g for c in num], den // g
+        return BinForm(degree, tuple(num), den)
 
     @staticmethod
     def from_linear_roots(roots: Sequence[Scalar]) -> "BinForm":
         """prod (u - r v) over the given rational roots."""
         form = BinForm.make(0, [1])
         for r in roots:
-            form = form * BinForm.make(1, [-Fraction(r), 1])
+            form = form * BinForm.make(1, [-r, 1])
         return form
 
-    # -- basic queries ------------------------------------------------------
+    # -- views and basic queries --------------------------------------------
+
+    @functools.cached_property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The degree + 1 coefficients as Fractions; built on first use and kept."""
+        tail = (Fraction(0),) * (self.degree + 1 - len(self.num))
+        return tuple(Fraction(c, self.den) for c in self.num) + tail
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.num
 
-    @functools.cached_property
-    def scaled(self) -> Tuple[list, int]:
-        """(a, den) with f(u, 1) = a(u) / den, a integer and stripped.
+    @property
+    def content(self) -> Fraction:
+        """The c > 0 with f = c g, g primitive integral with the sign of f.
 
-        den is the lcm of the coefficient denominators.
+        Raises on the zero form.
         """
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return ip.strip([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+        if not self.num:
+            raise ValueError("zero form has no content")
+        return Fraction(ip.content(self.num), self.den)
 
-    def affine_int(self) -> list:
-        """f(u, 1) with denominators cleared by their lcm; signs preserved.
-
-        Built once per form and shared by every caller: do not mutate it.
-        """
-        return self.scaled[0]
+    def affine_int(self) -> Tuple[int, ...]:
+        """f(u, 1) times den, stripped, signs kept: num itself, shared by every caller."""
+        return self.num
 
     def v_order_at_infinity(self) -> int:
         """Multiplicity of (1:0) as a root, i.e. degree minus affine degree."""
-        if self.is_zero:
+        if not self.num:
             raise ValueError("zero form has no well-defined vanishing order")
-        return self.degree - ip.degree(self.affine_int())
+        return self.degree + 1 - len(self.num)
 
     def evaluate(self, u: Scalar) -> Fraction:
         """f(u, 1)."""
-        u = Fraction(u)
-        a, den = self.scaled
-        # f(u, 1) = a(n / m) / den = eval_hom(a, n, m) / (den * m^deg a), u = n / m
-        m = u.denominator
-        return Fraction(ip.eval_hom(a, u.numerator, m), den * m ** max(ip.degree(a), 0))
+        # f(n / m, 1) = eval_hom(num, n, m) / (den * m^deg num)
+        n, m = u.numerator, u.denominator
+        return Fraction(ip.eval_hom(self.num, n, m), self.den * m ** max(len(self.num) - 1, 0))
 
     def value_at_infinity(self) -> Fraction:
         """f(1, 0), the chart-2 value at the point at infinity."""
-        return self.coeffs[self.degree]
+        top = self.num[self.degree] if len(self.num) == self.degree + 1 else 0
+        return Fraction(top, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -117,27 +138,28 @@ class BinForm:
             raise FormDegreeError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        return BinForm(
-            self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            a = [c * (other.den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other.den
+        return BinForm._normal(self.degree, ip.add(a, b), den)
 
     def __sub__(self, other: "BinForm") -> "BinForm":
         return self + (-other)
 
     def __neg__(self) -> "BinForm":
-        return BinForm(self.degree, tuple(-c for c in self.coeffs))
+        return BinForm(self.degree, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, BinForm):
-            a, da = self.scaled
-            b, db = other.scaled
-            den = da * db
-            return BinForm.from_affine(
-                self.degree + other.degree, [Fraction(c, den) for c in ip.mul(a, b)]
+            return BinForm._normal(
+                self.degree + other.degree, ip.mul(self.num, other.num), self.den * other.den
             )
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return BinForm(self.degree, tuple(a * c for a in self.coeffs))
+            n, d = other.numerator, other.denominator  # an int is n / 1
+            return BinForm._normal(self.degree, [c * n for c in self.num], self.den * d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -145,25 +167,11 @@ class BinForm:
     def __pow__(self, n: int) -> "BinForm":
         if n < 0:
             raise ValueError("negative power of a form")
-        a, den = self.scaled
         out = [1]
         for _ in range(n):
-            out = ip.mul(out, a)
-        den = den ** n
-        return BinForm.from_affine(n * self.degree, [Fraction(c, den) for c in out])
-
-    # -- normalization -------------------------------------------------------
-
-    def content_and_primitive(self) -> Tuple[Fraction, "BinForm"]:
-        """Write f = c * g with c > 0 rational and g primitive integral.
-
-        g keeps the sign of f.  Raises on the zero form.
-        """
-        if self.is_zero:
-            raise ValueError("zero form has no content")
-        a, den = self.scaled
-        g = ip.content(a)
-        return Fraction(g, den), BinForm.from_affine(self.degree, [c // g for c in a])
+            out = ip.mul(out, self.num)
+        # content(num^n) = content(num)^n is coprime to den^n: already normal
+        return BinForm(n * self.degree, tuple(out), self.den ** n)
 
     def __str__(self) -> str:
         terms = []
@@ -186,4 +194,3 @@ class BinForm:
             else:
                 terms.append(f"{c}*{body}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-

@@ -167,6 +167,18 @@ def _print_checks(ver) -> None:
         sys.exit(EXIT_VIOLATION)
 
 
+def _emit_triple(t, out) -> None:
+    """Write t's document to the file out and say so, or print it; exit 0."""
+    text = dump_json(triple_to_document(t))
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        click.echo(f"wrote {out}")
+    else:
+        click.echo(text, nl=False)
+    sys.exit(EXIT_OK)
+
+
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--twist", "do_twist", is_flag=True, help="apply (p, q) -> (p, -q)")
@@ -194,14 +206,7 @@ def transform(file, do_twist, i0star, do_verify, out):
         result = i0star_transform(t, params)
         if do_verify:
             _print_checks(verify_i0star(t, params, result))
-    text = dump_json(triple_to_document(result))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text, nl=False)
-    sys.exit(EXIT_OK)
+    _emit_triple(result, out)
 
 
 @main.command()
@@ -260,14 +265,7 @@ def search(k, components_, budget, seed, out):
         f"found after {result.candidates_tried} candidate(s): "
         f"h0={rep.h0} h1={rep.h1} chi={rep.chi_top}"
     )
-    text = dump_json(triple_to_document(result.triple))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text, nl=False)
-    sys.exit(EXIT_OK)
+    _emit_triple(result.triple, out)
 
 
 @main.command(name="oracle-check")

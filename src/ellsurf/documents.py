@@ -54,7 +54,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    """"n" or "n/d" for a Fraction or an int."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import _intpoly as ip
+from .binform import BinForm
 from .roots import (
     INFINITY,
     AlgebraicPoint,
@@ -100,7 +101,7 @@ class _UnionFind:
         return sum(1 for x in self.parent if self.find(x) == x)
 
 
-def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> list:
+def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> Tuple[int, ...]:
     """Integer model of x^3 + p x + q over the point (chart 2 at infinity)."""
     if isinstance(pt, InfinityPoint):
         pval = t.p.value_at_infinity()
@@ -109,16 +110,15 @@ def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> list:
         assert isinstance(pt, FinitePoint)
         pval = t.p.evaluate(pt.value)
         qval = t.q.evaluate(pt.value)
-    return ip.from_fractions([qval, pval, Fraction(0), Fraction(1)])
+    return BinForm.from_affine(3, [qval, pval, 0, 1]).affine_int()
 
 
 def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int]) -> FiberSlice:
     """Smooth fiber at pt; counts keeps the real root count of each cubic met so far."""
     cubic = _fiber_cubic_at(t, pt)
-    key = tuple(cubic)
-    if key not in counts:
-        counts[key] = ip.count_real_roots(cubic)
-    roots = counts[key]
+    if cubic not in counts:
+        counts[cubic] = ip.count_real_roots(cubic)
+    roots = counts[cubic]
     if roots == 3:
         return FiberSlice(pt, "sample", ("oval", "branch"))
     if roots == 1:

@@ -185,7 +185,7 @@ def verify_i0star(
     checks.append(
         CheckItem(
             "discriminant_relation",
-            delta_y.degree == rel.degree and delta_y.coeffs == rel.coeffs,
+            delta_y == rel,
             "Delta_Y == r^6 * Delta_X",
         )
     )

@@ -165,9 +165,7 @@ def normalize(t: WeierstrassTriple) -> WeierstrassTriple:
     factors >= 2^16 (counted with multiplicity) or one >= 2^32 is
     refused with ValueError.
     """
-    contents = [
-        (f.content_and_primitive()[0], n) for f, n in ((t.p, 2), (t.q, 3)) if not f.is_zero
-    ]
+    contents = [(f.content, n) for f, n in ((t.p, 2), (t.q, 3)) if not f.is_zero]
     g = math.gcd(*(c.numerator for c, _ in contents)) * math.prod(
         c.denominator for c, _ in contents
     )

@@ -87,11 +87,11 @@ def circle_roots(f):
 
 
 def _d_du(f):
-    return BinForm(f.degree - 1, tuple(f.coeffs[i + 1] * (i + 1) for i in range(f.degree)))
+    return BinForm.make(f.degree - 1, [f.coeffs[i + 1] * (i + 1) for i in range(f.degree)])
 
 
 def _d_dv(f):
-    return BinForm(f.degree - 1, tuple(f.coeffs[i] * (f.degree - i) for i in range(f.degree)))
+    return BinForm.make(f.degree - 1, [f.coeffs[i] * (f.degree - i) for i in range(f.degree)])
 
 
 def _pure_derivatives(f, order):
@@ -138,16 +138,33 @@ def interlace_sextic():
     return (U * U - V * V) * (U * U - 4 * V * V) * (U * U - 9 * V * V)
 
 
+class TimeLimitExceeded(BaseException):
+    """A block ran past its time limit.
+
+    A BaseException, not an Exception: hypothesis records an Exception
+    raised in a test body as a failing example and replays and shrinks
+    it, with no limit left, while a BaseException passes through.
+    """
+
+
+# seconds after which an expired limit fires again while its block still runs
+REFIRE = 0.5
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for `seconds`.
+    """Raise TimeLimitExceeded in the block once it has run for `seconds`.
 
-    Limits nest: an enclosing limit that expires first still fires, and
-    on exit it is re-armed with the time it has left.
+    The limit fires again every REFIRE seconds until the block ends, so
+    that code which swallows it, or a long step that does not return
+    to the interpreter, is interrupted as soon as it can be.  Limits
+    nest: an enclosing limit that expires first still fires, and on
+    exit it is re-armed with the time it has left.
     """
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        signal.setitimer(signal.ITIMER_REAL, REFIRE)
+        raise TimeLimitExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -157,8 +174,15 @@ def time_limit(seconds):
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        # until the handler is restored, a repeat may fire in here too
+        restored = False
+        while not restored:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+                restored = True
+            except TimeLimitExceeded:
+                pass
         if outer:
             # an outer limit that ran out meanwhile fires at once
             signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))

@@ -140,8 +140,8 @@ def _shared_factor_doc(rng: random.Random, kind: str, i: int, j: int) -> dict:
     r = _random_factor(rng, kind)
     k = r.degree if r.degree > 1 else rng.choice([1, 2])
     while True:
-        p = BinForm.zero(4 * k) if i == 0 else r ** i * _random_cofactor(rng, 4 * k - i * r.degree)
-        q = BinForm.zero(6 * k) if j == 0 else r ** j * _random_cofactor(rng, 6 * k - j * r.degree)
+        p = BinForm.from_affine(4 * k, []) if i == 0 else r ** i * _random_cofactor(rng, 4 * k - i * r.degree)
+        q = BinForm.from_affine(6 * k, []) if j == 0 else r ** j * _random_cofactor(rng, 6 * k - j * r.degree)
         if not (4 * p ** 3 + 27 * q ** 2).is_zero:
             return _document(k, p, q)
 

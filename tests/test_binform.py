@@ -1,13 +1,18 @@
 """Binary form arithmetic, gcd and squarefree structure."""
 
+import fractions
+import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsurf import BinForm, FormDegreeError
+from ellsurf import BinForm, FormDegreeError, WeierstrassTriple
 from ellsurf import _intpoly as ip
+from ellsurf.fuzz import random_valid_triple
 
 from conftest import U, V, interlace_sextic, poly_mul
 
@@ -19,7 +24,7 @@ class TestArithmetic:
 
     def test_add_degree_mismatch(self):
         with pytest.raises(FormDegreeError):
-            U + BinForm.zero(2)
+            U + BinForm.from_affine(2, [])
 
     def test_mul(self):
         assert U * V == BinForm.make(2, [0, 1, 0])
@@ -41,12 +46,13 @@ class TestArithmetic:
         assert (U ** 2 * V ** 3).v_order_at_infinity() == 3
         assert U.v_order_at_infinity() == 0
 
-    def test_content_and_primitive(self):
+    def test_content(self):
         f = BinForm.make(2, [Fraction(4, 6), Fraction(-2, 3), 2])
-        c, prim = f.content_and_primitive()
-        assert c > 0
+        assert f.content == Fraction(2, 3)
+        prim = BinForm.from_affine(f.degree, ip.primitive(f.affine_int()))
         assert all(x.denominator == 1 for x in prim.coeffs)
-        assert c * prim == f
+        assert f.content * prim == f
+        assert (-f).content == f.content
 
 
 def _euclid_gcd_degree(f, g):
@@ -87,7 +93,7 @@ class TestGcdSquarefree:
         a = interlace_sextic().affine_int()
         # oracle: gcd(f, f') is a constant, computed by naive Euclid
         assert _euclid_gcd_degree(a, ip.derivative(a)) == 0
-        assert ip.squarefree_part(a) == a
+        assert ip.squarefree_part(a) == list(a)
 
     def test_product_relation(self):
         f = (U - V) ** 3 * (U + 2 * V) * V ** 2
@@ -158,3 +164,69 @@ class TestProperties:
         sq = ip.squarefree_part(f.affine_int())
         assert ip.squarefree_part(sq) == sq
         assert _euclid_gcd_degree(sq, ip.derivative(sq)) == 0
+
+
+def _in_normal_form(f):
+    """num stripped, den >= 1 and coprime to the content of num; make(degree, coeffs) rebuilds f."""
+    return (
+        f.den >= 1
+        and (not f.num or f.num[-1] != 0)
+        and gcd(ip.content(f.num), f.den) == 1
+        and BinForm.make(f.degree, f.coeffs) == f
+    )
+
+
+class TestNormalForm:
+    @given(forms(), st.data(), st.integers(0, 3), small_frac, st.integers(-6, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_every_route_gives_equal_values_and_hashes(self, f, data, n, c, m):
+        """Each pair builds one form two ways: by the arithmetic and from Fraction coefficients."""
+        d = f.degree
+        g = BinForm.make(d, data.draw(st.lists(small_frac, min_size=d + 1, max_size=d + 1)))
+        power = [1]
+        for _ in range(n):
+            power = poly_mul(power, f.coeffs)
+        pairs = [
+            (f, BinForm.from_affine(d, list(f.coeffs))),
+            (f, BinForm.from_affine(d, ip.strip(f.coeffs))),
+            (f + g, BinForm.make(d, [a + b for a, b in zip(f.coeffs, g.coeffs)])),
+            (f - f, BinForm.from_affine(d, [])),
+            (f * g, BinForm.from_affine(2 * d, poly_mul(f.coeffs, g.coeffs))),
+            (f ** n, BinForm.from_affine(n * d, power)),
+            (c * f, BinForm.make(d, [c * a for a in f.coeffs])),
+            (f * m, BinForm.make(d, [m * a for a in f.coeffs])),
+            (-f, BinForm.make(d, [-a for a in f.coeffs])),
+        ]
+        for lhs, rhs in pairs:
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+            assert _in_normal_form(lhs) and _in_normal_form(rhs)
+        prim = BinForm.from_affine(d, ip.primitive(f.num))
+        assert f.content * prim == f and _in_normal_form(prim)
+
+    def test_raw_constructor_checks_the_cheap_invariants(self):
+        with pytest.raises(ValueError):
+            BinForm(-1, (), 1)
+        with pytest.raises(ValueError):
+            BinForm(2, (1,), 0)
+        with pytest.raises(ValueError):
+            BinForm(1, (1, 2, 3), 1)
+        with pytest.raises(ValueError):
+            BinForm(2, (1, 0), 1)
+
+    def test_discriminant_of_integer_forms_runs_no_fraction_code(self):
+        t = random_valid_triple(random.Random(2024), 4)
+        t = WeierstrassTriple(t.k, t.p, t.q)  # a fresh triple: delta not built yet
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            delta = t.delta
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert delta.den == 1 and delta.degree == 48
+        assert "delta" in t.__dict__

@@ -90,7 +90,7 @@ def _triples():
             ("w1-i0star-twice", iterate_i0star(w1, [(4, 5), (Fraction(-5, 2), Fraction(1, 2))]))]
     # I1* at 0, IV at infinity, I1 at -4; and q = 0 with III fibers, two of them non-real
     out.append(("istar-1", validate(1, -3 * U * U * V * V, U ** 3 * V * V * (2 * V + U))))
-    out.append(("q-zero", validate(1, (U * U + V * V) * (U - V) * (U + 2 * V), BinForm.zero(6))))
+    out.append(("q-zero", validate(1, (U * U + V * V) * (U - V) * (U + 2 * V), BinForm.from_affine(6, []))))
     for name in ("fractional-coefficients", "bundle-k2-two-tori", "bundle-positive-delta"):
         out.append((name, load_triple(str(GOLDEN / f"{name}.triple.json"))))
     return out

@@ -165,7 +165,7 @@ class TestReportCommand:
 
     def test_bundle_has_no_caveat(self, runner, tmp_path):
         # Delta > 0 on the whole circle: one component, which the oracle confirms
-        t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
+        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
         path = _write(tmp_path, "bundle.json", triple_to_document(t))
         result = runner.invoke(main, ["report", path, "--json"])
         doc = json.loads(result.output)
@@ -350,6 +350,77 @@ class TestFuzzCommand:
         assert ", expected 12: fiber classification is inconsistent\n" in result.output
         t = random_valid_triple(random.Random(4), 1)
         assert result.output.endswith(dump_json({"violating_triple": triple_to_document(t)}))
+
+    @staticmethod
+    def _fuzz_first_triple(runner, seed, *args):
+        """`ellsurf fuzz` on the first triple that seed draws at k = 1, and that triple."""
+        from ellsurf.fuzz import random_valid_triple
+
+        result = runner.invoke(main, ["fuzz", "--k", "1", "--trials", "1", "--seed", str(seed), *args])
+        return result, random_valid_triple(random.Random(seed), 1)
+
+    @staticmethod
+    def _assert_one_violation(result, t, kind, detail):
+        """Exit 1, one VIOLATION line, of the kind, starting with detail, then t's document."""
+        assert result.exit_code == 1, result.output
+        lines = [line for line in result.output.splitlines() if line.startswith("VIOLATION")]
+        assert len(lines) == 1 and lines[0].startswith(f"VIOLATION[{kind}]: {detail}"), lines
+        assert result.output.endswith(dump_json({"violating_triple": triple_to_document(t)}))
+
+    def test_alternation_failure_is_a_betti_consistency_violation(self, runner, monkeypatch):
+        # every smooth fiber read as two circles: the count cannot alternate
+        # across the cuts of seed 0's first triple
+        import ellsurf.topology
+
+        monkeypatch.setattr(ellsurf.topology, "smooth_fiber_components", lambda t, c: 2)
+        result, t = self._fuzz_first_triple(runner, 0)
+        assert any(r.is_real for r in t.fibers)
+        detail = "circle count fails to alternate across a simple discriminant zero"
+        self._assert_one_violation(result, t, "betti-consistency", detail)
+
+    def test_six_circles_at_k1_is_a_bounds_violation(self, runner, monkeypatch):
+        # seed 9 draws a circle bundle, whose h0 is the circle count of one
+        # smooth fiber: six of them break h0 <= 5k and h1 <= 10k
+        import ellsurf.topology
+
+        monkeypatch.setattr(ellsurf.topology, "smooth_fiber_components", lambda t, c: 6)
+        result, t = self._fuzz_first_triple(runner, 9, "--oracle-every", "0")
+        assert not any(r.is_real for r in t.fibers)
+        self._assert_one_violation(result, t, "bounds", "h0=6 h1=12 k=1: BoundChecks(")
+        assert "component_bound_ok=False, betti_bound_ok=False" in result.output
+
+    def test_non_generic_twist_is_a_twist_betti_violation(self, runner, monkeypatch):
+        # a twist that loses q: Delta = 4p^3 has a type III zero at each real root of p
+        import ellsurf.fuzz
+        from ellsurf.weierstrass import WeierstrassTriple
+
+        monkeypatch.setattr(ellsurf.fuzz, "twist", lambda t: WeierstrassTriple(t.k, t.p, 0 * t.q))
+        result, t = self._fuzz_first_triple(runner, 0)
+        self._assert_one_violation(result, t, "twist-betti", "non-nodal real singular fibers: III at ")
+
+    def test_identity_twist_is_a_twist_duality_violation(self, runner, monkeypatch):
+        # seed 1's first triple has (h0, h1) = (1, 6), which is not self-dual
+        import ellsurf.fuzz
+
+        monkeypatch.setattr(ellsurf.fuzz, "twist", lambda t: t)
+        result, t = self._fuzz_first_triple(runner, 1)
+        assert (t.topology.h0, t.topology.h1) == (1, 6)
+        detail = "(h0,h1,chi)=(1, 6, -4) vs twist (1, 6, -4)"
+        self._assert_one_violation(result, t, "twist-duality", detail)
+
+    def test_i0star_step_with_r_squared_on_q_is_a_violation(self, runner, monkeypatch):
+        # r^2 in place of r^3 on q, the degree made up by u^2 + v^2: the new
+        # fibers are type IV, not I0*
+        import ellsurf.fuzz
+
+        def r_squared_on_q(t, params):
+            r = BinForm.from_linear_roots([params.a, params.b])
+            return validate(t.k + 1, r ** 2 * t.p, r ** 2 * (U * U + V * V) * t.q)
+
+        monkeypatch.setattr(ellsurf.fuzz, "i0star_transform", r_squared_on_q)
+        result, t = self._fuzz_first_triple(runner, 0, "--oracle-every", "0")
+        detail = "discriminant_relation: Delta_Y == r^6 * Delta_X; new_fiber_is_I0star: at u = "
+        self._assert_one_violation(result, t, "i0star", detail)
 
 
 class TestSearchCommand:

@@ -28,5 +28,5 @@ def test_digest_covers_validate_golden_commands_and_fuzz():
     assert sum(n.startswith("validate shared-") for n in names) == len(digest.SHARED_ORDERS) + 1
     assert sum(n.startswith("report-json shared-") for n in names) == len(digest.SHARED_ORDERS) + 1
     for label, _ in digest.GOLDEN_COMMANDS:
-        assert sum(n.startswith(f"{label} golden ") for n in names) == len(digest.GOLDEN_TRIPLES) == 20
+        assert sum(n.startswith(f"{label} golden ") for n in names) == len(digest.GOLDEN_TRIPLES) == 21
     assert [n for n in names if n.startswith("fuzz ")] == [f"fuzz k{k}" for k in digest.FUZZ_KS]

@@ -30,6 +30,17 @@ def test_search_out_bytes(tmp_path, k, components):
     assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
 
 
+def test_i0star_out_bytes_with_fractional_centers_and_coefficients(tmp_path):
+    out = tmp_path / "i0star.json"
+    source = GOLDEN / "fractional-coefficients.triple.json"
+    args = ["transform", str(source), "--i0star", "-1/2", "7/3", "--verify", "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "VIOLATED" not in result.output
+    expected = GOLDEN / "fractional-coefficients-i0star.triple.json"
+    assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")
+
+
 def test_validate_nonminimal_bytes():
     result = CliRunner().invoke(main, ["validate", str(GOLDEN / "nonminimal-conjugate-pair.json")])
     assert result.exit_code == 2

@@ -75,8 +75,8 @@ class TestConditionTwoCrossCheck:
     def test_zero_p_uses_q_order_alone(self):
         # p identically zero counts as infinite order: only q's order matters
         with pytest.raises(NonMinimal):
-            validate(1, BinForm.zero(4), monomial(6, 6))
-        validate(1, BinForm.zero(4), monomial(6, 5) + V ** 6)
+            validate(1, BinForm.from_affine(4, []), monomial(6, 6))
+        validate(1, BinForm.from_affine(4, []), monomial(6, 5) + V ** 6)
 
     def test_infinity_family(self):
         # orders at infinity: p has 4, q has 5: minimal
@@ -108,7 +108,7 @@ class TestRealGenericityTwoRoutes:
             assert self._generic_by_gcd(t) == self._generic_by_fibers(t)
 
     def test_routes_agree_on_crafted_non_generic(self):
-        t = validate(1, BinForm.zero(4), (U - V) ** 2 * V ** 4)
+        t = validate(1, BinForm.from_affine(4, []), (U - V) ** 2 * V ** 4)
         assert not self._generic_by_gcd(t)
         assert not self._generic_by_fibers(t)
 

@@ -40,7 +40,7 @@ class TestKnownSurfaces:
         assert oracle_topology(twist(w1)).triple() == (1, 2, 0)
 
     def test_single_klein_bundle(self):
-        t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
+        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
         assert oracle_topology(t).triple() == (1, 2, 0)
 
     def test_two_component_bundle(self):
@@ -82,7 +82,7 @@ class TestRefinementInvariance:
         assert oracle_topology(w1, extra_samples=extra).triple() == base
 
     def test_extra_samples_on_bundle(self):
-        t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
+        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
         base = oracle_topology(t).triple()
         refined = oracle_topology(
             t, extra_samples=[Fraction(n, 3) for n in range(-6, 7)]

@@ -101,7 +101,7 @@ class TestIsolation:
                 continue
             chart1 = ip.count_real_roots(ip.squarefree_part(f.affine_int()))
             chart1 += 1 if f.v_order_at_infinity() >= 1 else 0
-            g = BinForm(f.degree, tuple(reversed(f.coeffs)))  # u and v swapped
+            g = BinForm.make(f.degree, reversed(f.coeffs))  # u and v swapped
             chart2 = ip.count_real_roots(ip.squarefree_part(g.affine_int()))
             chart2 += 1 if g.v_order_at_infinity() >= 1 else 0
             assert chart1 == chart2 == len(circle_roots(f))
@@ -165,9 +165,9 @@ class TestSignAt:
                 g = poly_mul(h, [-x0.numerator, x0.denominator])
             elif case == "two roots in the interval":
                 # x0 +- r / sqrt(2): g has the same sign at both ends
-                g = poly_mul(h, ip.from_fractions([x0 * x0 - r * r / 2, -2 * x0, 1]))
+                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 - r * r / 2, -2 * x0, 1]).affine_int())
             elif case == "complex pair over the interval":
-                g = poly_mul(h, ip.from_fractions([x0 * x0 + r * r, -2 * x0, 1]))
+                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 + r * r, -2 * x0, 1]).affine_int())
             form = BinForm.from_affine(ip.degree(g) + 1, g)
             expected = _sympy_sign_at_root(g, pt.defining.affine_int(), pt.lo, pt.hi)
             with time_limit(10):
@@ -189,8 +189,8 @@ class TestProperties:
         if choice == 1:
             return INFINITY
         shift = rng.randint(-3, 3)
-        defi = (U - shift * V) ** 2 - 2 * V * V  # root shift + sqrt(2)
-        return AlgebraicPoint(defi.content_and_primitive()[1], Fraction(shift) + 1, Fraction(shift) + 2)
+        defi = (U - shift * V) ** 2 - 2 * V * V  # root shift + sqrt(2), primitive
+        return AlgebraicPoint(defi, Fraction(shift) + 1, Fraction(shift) + 2)
 
     def test_sign_multiplicative(self):
         rng = random.Random(5)

@@ -51,7 +51,7 @@ class TestRealNodalTypes:
 
 class TestSmoothFiberComponents:
     def test_always_one_for_positive_discriminant(self):
-        t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
+        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
         for x in (0, 1, -5, Fraction(7, 3)):
             assert smooth_fiber_components(t, finite(x)) == 1
 
@@ -93,7 +93,7 @@ class TestArcDecomposition:
 
     def test_multiple_real_root_refused(self):
         # q with a double real root of Delta: p = 0, q = (u - v)^2 * v^4
-        t = validate(1, BinForm.zero(4), (U - V) ** 2 * V ** 4)
+        t = validate(1, BinForm.from_affine(4, []), (U - V) ** 2 * V ** 4)
         with pytest.raises(NotRealGeneric) as err:
             arc_decomposition(t)
         assert err.value.offenders
@@ -108,7 +108,7 @@ class TestBetti:
         assert not rep.orientable
 
     def test_no_real_singular_positive_delta(self):
-        t = validate(1, BinForm.zero(4), V ** 6 + U ** 6)
+        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
         rep = betti(t)
         assert (rep.h0, rep.h1) == (1, 2)
         assert rep.components == ("V2",)
@@ -133,7 +133,7 @@ class TestBetti:
 
     def test_k2_single_torus(self):
         q = (U ** 4 + V ** 4) ** 3
-        t = validate(2, BinForm.zero(8), q)
+        t = validate(2, BinForm.from_affine(8, []), q)
         rep = betti(t)
         assert (rep.h0, rep.h1) == (1, 2)
         assert rep.components == ("S1",)

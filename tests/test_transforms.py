@@ -109,7 +109,7 @@ class TestVerifyTwist:
         # a wrong q that carries the input's Delta, as twist hands it on;
         # both sides are circle bundles with one component, so only the
         # rebuilt discriminant can tell
-        t = validate(1, BinForm.zero(4), U ** 6 + V ** 6)
+        t = validate(1, BinForm.from_affine(4, []), U ** 6 + V ** 6)
         bad = WeierstrassTriple(t.k, t.p, 2 * t.q)
         bad.__dict__["delta"] = t.delta
         ver = verify_twist(t, bad)
@@ -175,7 +175,7 @@ class TestI0StarTransform:
 
     def test_verify_with_q_identically_zero(self):
         # r^3 * 0 = 0: the new I0* fibers have no valuation of q
-        t = validate(1, U ** 4 - V ** 4, BinForm.zero(6))
+        t = validate(1, U ** 4 - V ** 4, BinForm.from_affine(6, []))
         params = make_params(t, 4, 5)
         y = i0star_transform(t, params)
         ver = verify_i0star(t, params, y)

@@ -55,12 +55,12 @@ def _sympy_normalize(t):
         return mu
 
     if t.p.is_zero:
-        mu = largest_nth_power_divisor(t.q.content_and_primitive()[0], 3)
+        mu = largest_nth_power_divisor(t.q.content, 3)
     elif t.q.is_zero:
-        mu = largest_nth_power_divisor(t.p.content_and_primitive()[0], 2)
+        mu = largest_nth_power_divisor(t.p.content, 2)
     else:
-        cp, _ = t.p.content_and_primitive()
-        cq, _ = t.q.content_and_primitive()
+        cp = t.p.content
+        cq = t.q.content
         mu = Fraction(1)
         for prime in primes_of(cp) | primes_of(cq):
             mu *= Fraction(prime) ** min(valuation(cp, prime) // 2, valuation(cq, prime) // 3)
@@ -69,8 +69,8 @@ def _sympy_normalize(t):
 
 def _contents_triple(cp, cq):
     """A k = 1 triple whose p and q have the contents cp and cq; None is a zero form."""
-    p = BinForm.zero(4) if cp is None else cp * (U ** 4 - 2 * V ** 4)
-    q = BinForm.zero(6) if cq is None else cq * (U ** 6 + 3 * U * V ** 5)
+    p = BinForm.from_affine(4, []) if cp is None else cp * (U ** 4 - 2 * V ** 4)
+    q = BinForm.from_affine(6, []) if cq is None else cq * (U ** 6 + 3 * U * V ** 5)
     return WeierstrassTriple(1, p, q)
 
 
@@ -110,7 +110,7 @@ class TestValidate:
 
     def test_delta_zero(self):
         with pytest.raises(DeltaIdenticallyZero):
-            validate(1, BinForm.zero(4), BinForm.zero(6))
+            validate(1, BinForm.from_affine(4, []), BinForm.from_affine(6, []))
 
     def test_shared_low_order_vanishing_at_infinity_is_fine(self):
         # p and q both vanish at infinity, but to orders (1, 1) only
@@ -118,7 +118,7 @@ class TestValidate:
 
     def test_degree_mismatch(self):
         with pytest.raises(WeierstrassError):
-            validate(2, BinForm.zero(4), BinForm.zero(6))
+            validate(2, BinForm.from_affine(4, []), BinForm.from_affine(6, []))
 
     def test_nonminimal_conjugate_pair_witnessed_by_factor(self):
         w = U * U + V * V
@@ -193,7 +193,7 @@ def _minimality_pairs(draw):
 
 class TestDiscriminant:
     def test_q_only(self):
-        t = WeierstrassTriple(1, BinForm.zero(4), V ** 6)
+        t = WeierstrassTriple(1, BinForm.from_affine(4, []), V ** 6)
         assert t.delta == 27 * V ** 12
 
     def test_monomials(self):
@@ -266,8 +266,8 @@ class TestRescaleNormalize:
             assert all(c.denominator == 1 for c in coeffs)
             if n.p.is_zero or n.q.is_zero:
                 continue
-            cp, _ = n.p.content_and_primitive()
-            cq, _ = n.q.content_and_primitive()
+            cp = n.p.content
+            cq = n.q.content
             for prime in set(sympy.factorint(int(cp)).keys()) & set(
                 sympy.factorint(int(cq)).keys()
             ):
@@ -369,7 +369,7 @@ class TestClassify:
         assert by_symbol == [("I1", "-2"), ("I1", "2"), ("II*", "inf")]
 
     def test_conjugate_pairs_only(self):
-        t = validate(1, BinForm.zero(4), monomial(6, 6) + monomial(6, 0))
+        t = validate(1, BinForm.from_affine(4, []), monomial(6, 6) + monomial(6, 0))
         reports = classify_fibers(t)
         assert all(not r.is_real for r in reports)
         assert all(r.kodaira.symbol == "II" for r in reports)
