@@ -13,7 +13,7 @@ collapses) or degenerates to a wedge of two circles (the oval meets the
 branch).  At a rational cut the double root x0 and the simple root
 b = -2 x0 of the degenerate cubic are computed and compared exactly.  At
 an irrational cut the sign of x0 = -3q / 2p decides (p < 0 at a node is
-asserted), which is the sign of q: the pipeline's own rule
+checked), which is the sign of q: the pipeline's own rule
 (topology._nodal_type_unchecked), so there the oracle is not independent.
 
 The pieces assemble into a cell complex: every fiber circle is a vertex
@@ -41,14 +41,15 @@ from .roots import (
     CirclePoint,
     FinitePoint,
     InfinityPoint,
-    compare_finite,
+    compare_with_rational,
     sign_at,
 )
 from .weierstrass import WeierstrassTriple
 
 
 class OracleDisagreement(AssertionError):
-    """The main pipeline and the oracle computed different topology."""
+    """The main pipeline and the oracle computed different topology, or
+    the oracle refused a slice the pipeline handed it."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int
         return FiberSlice(pt, "sample", ("oval", "branch"))
     if roots == 1:
         return FiberSlice(pt, "sample", ("branch",))
-    raise AssertionError(
+    raise OracleDisagreement(
         f"smooth real cubic with {roots} real roots at {pt}; "
         "the slice point must avoid the discriminant zeros"
     )
@@ -135,9 +136,9 @@ def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
         s_p = sign_at(t.p, pt)
         s_q = sign_at(t.q, pt)
         if s_p != -1:
-            raise AssertionError("p must be negative at a nodal fiber")
+            raise OracleDisagreement(f"p is not negative at the nodal cut {pt}")
         if s_q == 0:
-            raise AssertionError("q cannot vanish at a nodal fiber")
+            raise OracleDisagreement(f"q vanishes at the nodal cut {pt}")
         # x0 = -3q/2p has the sign of q (p < 0); the simple root is -2 x0,
         # so the double root sits below the simple root iff x0 < 0
         pattern = "collapse" if s_q < 0 else "join"
@@ -145,14 +146,14 @@ def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
         cubic = _fiber_cubic_at(t, pt)
         dbl = ip.gcd(cubic, ip.derivative(cubic))
         if ip.degree(dbl) != 1:
-            raise AssertionError(f"fiber at {pt} is not nodal")
+            raise OracleDisagreement(f"fiber at the cut {pt} is not nodal")
         x0 = Fraction(-dbl[0], dbl[1])
         lin = [-x0.numerator, x0.denominator]
         rest = ip.try_div_exact(ip.try_div_exact(cubic, lin), lin)
         assert rest is not None and ip.degree(rest) == 1
         beta = Fraction(-rest[0], rest[1])
         if x0 == beta:
-            raise AssertionError(f"cusp at {pt}: triple root")
+            raise OracleDisagreement(f"cusp at the cut {pt}: triple root")
         pattern = "collapse" if x0 < beta else "join"
     comps = ("cap", "circle") if pattern == "collapse" else ("wedge",)
     return FiberSlice(pt, "cut", comps, pattern)
@@ -203,7 +204,7 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
         a = slices[i]
         b = slices[(i + 1) % n]
         if a.kind == "cut" and b.kind == "cut":
-            raise AssertionError("two adjacent cuts: an arc lost its sample")
+            raise OracleDisagreement("two adjacent cuts: an arc lost its sample")
         for (ca, cb) in _tube_matches(a, b):
             uf.union((i, ca), ((i + 1) % n, cb))
             E += 1
@@ -212,10 +213,14 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     chi = V - E + F
     h0 = uf.count()
     h1 = 2 * h0 - chi
-    assert h1 >= 0 and h1 % 2 == 0, "mod-2 Betti numbers of a closed surface"
+    if h1 < 0 or h1 % 2:
+        raise OracleDisagreement(f"h1 = {h1} is not the first Betti number of a closed surface")
+    # holds by construction: every tube adds one edge and one face, so
+    # V - E + F sums the cut slices, +1 for a collapse and -1 for a join
     collapses = sum(1 for s in slices if s.kind == "cut" and s.pattern == "collapse")
     joins = sum(1 for s in slices if s.kind == "cut" and s.pattern == "join")
-    assert chi == collapses - joins, "cell count disagrees with nodal patterns"
+    if chi != collapses - joins:
+        raise OracleDisagreement("cell count disagrees with nodal patterns")
     return OracleResult(h0, h1, chi, V, E, F, tuple(slices))
 
 
@@ -225,7 +230,7 @@ def _insert_sample(
     """Put a smooth slice at x into the circle-ordered slices, once."""
     cand = FinitePoint(x)
     for i, s in enumerate(slices):
-        order = -1 if isinstance(s.point, InfinityPoint) else compare_finite(cand, s.point)
+        order = -1 if isinstance(s.point, InfinityPoint) else -compare_with_rational(s.point, x)
         if order == 0 and s.kind == "cut":
             raise ValueError(f"extra sample {x} is a discriminant zero")
         if order == 0:
@@ -240,7 +245,7 @@ def _tube_matches(a: FiberSlice, b: FiberSlice) -> List[Tuple[int, int]]:
     """Index pairs of fiber components glued across the tube from a to b."""
     if a.kind == "sample" and b.kind == "sample":
         if len(a.comps) != len(b.comps):
-            raise AssertionError(
+            raise OracleDisagreement(
                 "circle count changed over an arc without a discriminant zero"
             )
         return [(i, i) for i in range(len(a.comps))]

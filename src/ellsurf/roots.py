@@ -5,6 +5,8 @@ squarefree defining form plus an open isolating interval with rational
 endpoints), or the point at infinity (1:0).  Everything here is exact:
 signs of forms at such points are decided by gcd computations,
 Descartes' rule of signs and interval bisection, never by numerics.
+The points that are ordered are the real roots of one squarefree form
+(rational_split); a finite point is compared only with a rational.
 
 The circle is ordered the standard way: the reals ascending, then
 infinity, wrapping back to -infinity.
@@ -91,55 +93,16 @@ def finite(x) -> FinitePoint:
 # comparisons
 
 
-def points_equal(a: CirclePoint, b: CirclePoint) -> bool:
-    if isinstance(a, InfinityPoint) or isinstance(b, InfinityPoint):
-        return isinstance(a, InfinityPoint) and isinstance(b, InfinityPoint)
-    if isinstance(a, FinitePoint) and isinstance(b, FinitePoint):
-        return a.value == b.value
-    if isinstance(a, FinitePoint):
-        a, b = b, a
-    if isinstance(b, FinitePoint):
-        # an algebraic point is irrational whenever its defining form has
-        # no rational root in the interval; test by direct evaluation
-        assert isinstance(a, AlgebraicPoint)
-        if not (a.lo < b.value < a.hi):
-            return False
-        return a.defining.evaluate(b.value) == 0
-    assert isinstance(a, AlgebraicPoint) and isinstance(b, AlgebraicPoint)
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if not lo < hi:
-        return False
-    return _divisor_vanishes_in(ip.gcd(a.defining.affine_int(), b.defining.affine_int()), lo, hi)
+def compare_with_rational(c: CirclePoint, x: Fraction) -> int:
+    """-1, 0 or +1 as the finite point c lies below, at or above the rational x.
 
-
-def _divisor_vanishes_in(f: list, lo: Fraction, hi: Fraction) -> bool:
-    """Whether f has a root in (lo, hi).
-
-    f must divide a defining form whose isolating interval contains
-    (lo, hi), and lo and hi must not be roots of that form.  f then has
-    at most one root there, a simple one, and none at the ends, so it
-    has one exactly when it changes sign.
+    An algebraic point is irrational, so it is refined until x leaves
+    its interval and never compares equal.
     """
-    return ip.degree(f) >= 1 and ip.eval_sign(f, lo) != ip.eval_sign(f, hi)
-
-
-def compare_finite(a: CirclePoint, b: CirclePoint) -> int:
-    """-1, 0, +1 ordering of two non-infinite points on the real line."""
-    if points_equal(a, b):
-        return 0
-    av, bv = a, b
-    while True:
-        alo, ahi = _bounds(av)
-        blo, bhi = _bounds(bv)
-        if ahi <= blo:
-            return -1
-        if bhi <= alo:
-            return 1
-        if isinstance(av, AlgebraicPoint):
-            av = av.refined()
-        if isinstance(bv, AlgebraicPoint):
-            bv = bv.refined()
+    if isinstance(c, FinitePoint):
+        return (c.value > x) - (c.value < x)
+    assert isinstance(c, AlgebraicPoint)
+    return 1 if c.excluding(x).lo > x else -1
 
 
 def _bounds(p: CirclePoint) -> Tuple[Fraction, Fraction]:
@@ -150,43 +113,34 @@ def _bounds(p: CirclePoint) -> Tuple[Fraction, Fraction]:
 
 
 def circle_sort_key_refine(points: Sequence[CirclePoint]) -> List[CirclePoint]:
-    """Sort distinct points along R then infinity, refining as needed.
+    """Sort the real roots of one squarefree form along R, then infinity.
 
-    Algebraic points are refined until intervals are pairwise disjoint
-    and exclude every rational point in the list; the refined copies are
-    returned, sorted by lower bound.
+    The points are what rational_split gives for one squarefree form:
+    rational points, algebraic points on at most one defining form with
+    pairwise disjoint intervals, and perhaps infinity.  Each algebraic
+    point is refined until its interval excludes every rational point;
+    the refined copies are returned, sorted by lower bound.  Points that
+    break this (two defining forms, overlapping intervals, a repeated
+    point) raise ValueError.
     """
     infs = [p for p in points if isinstance(p, InfinityPoint)]
     if len(infs) > 1:
         raise ValueError("duplicate point at infinity")
-    fin: List[CirclePoint] = [p for p in points if not isinstance(p, InfinityPoint)]
-    rationals = [p.value for p in fin if isinstance(p, FinitePoint)]
-    refined: List[CirclePoint] = []
-    for p in fin:
-        if isinstance(p, AlgebraicPoint):
-            for x in rationals:
-                p = p.excluding(x)
-        refined.append(p)
-    # pairwise disjoint algebraic intervals
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(refined)):
-            for j in range(i + 1, len(refined)):
-                a, b = refined[i], refined[j]
-                if isinstance(a, AlgebraicPoint) and isinstance(b, AlgebraicPoint):
-                    if a.hi > b.lo and b.hi > a.lo:
-                        if points_equal(a, b):
-                            raise ValueError("duplicate algebraic point")
-                        refined[i] = a.refined()
-                        refined[j] = b.refined()
-                        changed = True
-    # no interval holds another point now, so lower bounds order the points
-    refined.sort(key=lambda p: _bounds(p)[0])
-    for prev, cur in zip(refined, refined[1:]):
-        if prev == cur:
-            raise ValueError("duplicate point in circle order")
-    return refined + infs
+    rationals = [p for p in points if isinstance(p, FinitePoint)]
+    algebraic = [p for p in points if isinstance(p, AlgebraicPoint)]
+    if len({p.defining for p in algebraic}) > 1:
+        raise ValueError("algebraic points on more than one defining form")
+    # bisection intervals are nested, so the order of exclusion does not matter
+    for x in rationals:
+        algebraic = [p.excluding(x.value) for p in algebraic]
+    fin = sorted(rationals + algebraic, key=lambda p: _bounds(p)[0])
+    for a, b in zip(fin, fin[1:]):
+        gap = _bounds(b)[0] - _bounds(a)[1]
+        # open intervals of one form may share an end, which is not a root
+        both_algebraic = isinstance(a, AlgebraicPoint) and isinstance(b, AlgebraicPoint)
+        if gap < 0 or (gap == 0 and not both_algebraic):
+            raise ValueError(f"points {a} and {b} overlap or repeat")
+    return fin + infs
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +215,17 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
             if not _may_vanish_in(ga, lo, hi, g_lo, g_hi):
                 break
     return g_lo or g_hi or ip.eval_sign(ga, (lo + hi) / 2)
+
+
+def _divisor_vanishes_in(f: list, lo: Fraction, hi: Fraction) -> bool:
+    """Whether f has a root in (lo, hi).
+
+    f must divide a defining form whose isolating interval contains
+    (lo, hi), and lo and hi must not be roots of that form.  f then has
+    at most one root there, a simple one, and none at the ends, so it
+    has one exactly when it changes sign.
+    """
+    return ip.degree(f) >= 1 and ip.eval_sign(f, lo) != ip.eval_sign(f, hi)
 
 
 def _may_vanish_in(ga: list, lo: Fraction, hi: Fraction, g_lo: int, g_hi: int) -> bool:

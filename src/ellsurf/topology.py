@@ -10,9 +10,9 @@ Betti numbers of the real locus are read off from the arc bookkeeping:
 
 where arc_plus / arc_minus count two-circle arcs whose two boundary
 fibers both have non-connected / connected real nodal locus.  The Euler
-characteristic equals the signed count of nodal types, and the two
-expressions are cross-checked against each other on every run (and
-against the independent cell-complex oracle in the test suite).
+characteristic equals the signed count of nodal types; once the circle
+counts alternate the two expressions agree by construction, and the
+independent cell-complex oracle checks them in the test suite.
 
 Nodal real types are decided by a sign rule derived from the double
 root of the fiber cubic: writing the degenerate fiber as
@@ -159,9 +159,11 @@ def real_cuts(reports: Sequence[FiberReport]) -> List[CirclePoint]:
     """The real singular points in circle order; all must be nodal.
 
     Raises NotRealGeneric when some real singular fiber is not nodal.
-    Locations come from classification, so algebraic points are distinct
-    roots of one squarefree factor or roots of coprime factors; they are
-    refined until the cyclic order is unambiguous.
+    Otherwise every finite cut has v_Delta = 1, hence v_p = v_q = 0
+    (v_p, v_q >= 1 would force v_Delta >= 2), so the cuts are the real
+    roots of the one Yun component Delta_1 of Delta, as rational_split
+    gives them, plus perhaps infinity: circle_sort_key_refine orders
+    exactly such points.
     """
     real = [r for r in reports if r.is_real]
     offenders = [r for r in real if r.v_delta != 1]
@@ -260,6 +262,8 @@ def betti(t: WeierstrassTriple) -> RealTopologyReport:
     h0 = 1 + dec.arc_plus
     h1 = 2 + 2 * dec.arc_minus
     chi = dec.n_plus - dec.n_minus
+    # holds by construction: once the counts alternate, each cut ends
+    # exactly one two-circle arc, so n+ - n- = 2 arc+ - 2 arc- = 2 h0 - h1
     if chi != 2 * h0 - h1:
         raise AssertionError(
             f"Euler characteristic mismatch: nodal count gives {chi}, "

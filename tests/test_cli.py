@@ -41,6 +41,19 @@ def _flip_cuts(monkeypatch, flip):
     monkeypatch.setattr(ellsurf.oracle, "_cut_slice", flipping)
 
 
+def _flip_sign_of_p(monkeypatch, k):
+    """Make the oracle read the opposite sign of p, the form of degree 4k."""
+    import ellsurf.oracle
+
+    sign_at = ellsurf.oracle.sign_at
+
+    def flipping(g, c):
+        s = sign_at(g, c)
+        return -s if g.degree == 4 * k else s
+
+    monkeypatch.setattr(ellsurf.oracle, "sign_at", flipping)
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -240,6 +253,15 @@ class TestTransformCommand:
         assert result.exit_code == 1, result.output
         assert "twist_duality: VIOLATED" in result.output
 
+    def test_twist_verify_reports_an_oracle_refusal(self, runner, monkeypatch):
+        _flip_sign_of_p(monkeypatch, 2)
+        result = runner.invoke(
+            main, ["transform", str(GOLDEN / "random-k2.triple.json"), "--twist", "--verify"]
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "\n  twist_duality: VIOLATED oracle refused: p is not negative at the nodal cut " in result.output
+
     def test_twist_verify_never_normalizes(self, runner, monkeypatch):
         import ellsurf.cli
         import ellsurf.weierstrass
@@ -331,6 +353,19 @@ class TestFuzzCommand:
         assert result.exit_code == 1, result.output
         assert "\nVIOLATION[oracle]: pipeline (h0, h1, chi) = " in result.output
         assert '"violating_triple": {' in result.output
+
+    def test_oracle_refusal_is_a_violation(self, runner, monkeypatch):
+        # p read as positive: the oracle refuses every irrational cut
+        _flip_sign_of_p(monkeypatch, 1)
+        result = runner.invoke(
+            main, ["fuzz", "--k", "1", "--trials", "10", "--oracle-every", "1"]
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        lines = [line for line in result.output.splitlines() if line.startswith("VIOLATION")]
+        refusal = "VIOLATION[oracle]: p is not negative at the nodal cut root of "
+        assert lines and all(line.startswith(refusal) for line in lines), lines
+        assert result.output.count('"violating_triple": {') == len(lines)
 
     def test_euler_sum_mismatch_is_a_violation(self, runner, monkeypatch):
         # read every I1 fiber as I2: the sum exceeds 12k and classify_fibers raises
@@ -537,6 +572,13 @@ class TestOracleCheckCommand:
             "DISAGREEMENT: pipeline (h0, h1, chi) = (1, 2, 0) "
             "but oracle computed (2, 2, 2)\nslices: "
         )
+
+    def test_refusal_exits_1(self, runner, monkeypatch):
+        _flip_sign_of_p(monkeypatch, 2)
+        result = runner.invoke(main, ["oracle-check", str(GOLDEN / "random-k2.triple.json")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("DISAGREEMENT: p is not negative at the nodal cut root of ")
 
     def test_non_nodal_fiber_is_not_applicable(self, runner):
         path = str(GOLDEN / "istar-refusal.triple.json")

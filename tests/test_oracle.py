@@ -7,7 +7,10 @@ corpus validates both.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,7 +99,7 @@ class TestRefinementInvariance:
     def test_extra_samples_around_a_cut_at_infinity(self):
         # nodal fibers at one irrational point and at infinity: the arc after
         # infinity is sampled below the first cut, so its slice comes first
-        from ellsurf.roots import compare_finite
+        from ellsurf.roots import FinitePoint, compare_with_rational
 
         t = validate(
             1, BinForm.make(4, [-1, 2, 7, -9, -3]), BinForm.make(6, [5, -2, -8, -4, -6, 2, 2])
@@ -108,8 +111,37 @@ class TestRefinementInvariance:
         refined = oracle_topology(t, extra_samples=extra)
         assert refined.triple() == base.triple()
         assert len(refined.slices) == 8 and refined.slices[-1].point == INFINITY
+        # no two cuts are adjacent, so each pair holds a rational sample
         finite = [s.point for s in refined.slices[:-1]]
-        assert all(compare_finite(a, b) < 0 for a, b in zip(finite, finite[1:]))
+        for a, b in zip(finite, finite[1:]):
+            if isinstance(b, FinitePoint):
+                assert compare_with_rational(a, b.value) < 0
+            else:
+                assert compare_with_rational(b, a.value) > 0
+
+
+class TestVerdicts:
+    def test_cell_count_verdict_survives_python_O(self):
+        # a cap read as two loops takes 2 from chi at each of w1's six
+        # collapses; h1 stays even, so the cell-count verdict must refuse,
+        # also where python -O strips assert statements
+        path = Path(__file__).resolve().parent / "golden" / "w1.triple.json"
+        script = (
+            "import ellsurf.oracle as o\n"
+            "from ellsurf.documents import load_triple\n"
+            "o._LOOPS['cap'] = 2\n"
+            "try:\n"
+            f"    o.oracle_topology(load_triple({str(path)!r}))\n"
+            "except o.OracleDisagreement as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "cell count disagrees with nodal patterns\n"
 
 
 class TestAgreement:

@@ -20,8 +20,7 @@ from ellsurf import _intpoly as ip
 from ellsurf.roots import (
     FinitePoint,
     circle_sort_key_refine,
-    compare_finite,
-    points_equal,
+    compare_with_rational,
     rational_split,
     sample_between,
 )
@@ -273,70 +272,87 @@ class TestSampleBetween:
 
 class TestCompare:
     def test_mixed_ordering(self):
-        pts = [finite(2), sqrt2_point(), finite(1)]
-        assert compare_finite(pts[2], pts[1]) == -1
-        assert compare_finite(pts[1], pts[0]) == -1
-        assert compare_finite(pts[1], pts[1]) == 0
+        assert compare_with_rational(finite(1), Fraction(2)) == -1
+        assert compare_with_rational(finite(2), Fraction(1)) == 1
+        assert compare_with_rational(finite(1), Fraction(1)) == 0
+        assert compare_with_rational(sqrt2_point(), Fraction(1)) == 1
+        assert compare_with_rational(sqrt2_point(), Fraction(2)) == -1
 
-    def test_points_equal_across_kinds(self):
-        assert points_equal(INFINITY, INFINITY)
-        assert not points_equal(INFINITY, finite(0))
-        other = AlgebraicPoint(U * U - 2 * V * V, Fraction(5, 4), Fraction(3, 2))
-        assert points_equal(sqrt2_point(), other)
+    def test_rationals_inside_the_interval_are_refined_out(self):
+        # sqrt(2) in (1, 2): 3/2 and 7/5 both start inside the interval
+        assert compare_with_rational(sqrt2_point(), Fraction(3, 2)) == -1
+        assert compare_with_rational(sqrt2_point(), Fraction(7, 5)) == 1
+        assert compare_with_rational(sqrt2_point(), Fraction(141421, 100000)) == 1
+        assert compare_with_rational(sqrt2_point(), Fraction(141422, 100000)) == -1
 
 
 class TestCircleOrder:
-    """Points on coprime forms whose starting intervals all overlap in (1, 2)."""
+    """The real roots of one squarefree form, as rational_split gives them."""
+
+    FORM = (
+        (U * U - 2 * V * V)
+        * (U * U - 3 * V * V)
+        * (2 * U * U - 5 * V * V)
+        * (5 * U - 7 * V)
+        * (2 * U - 3 * V)
+    )
+
+    @classmethod
+    def _points(cls):
+        return [pt for _, pts in rational_split(cls.FORM.affine_int()) for pt in pts] + [INFINITY]
 
     @staticmethod
-    def _points():
+    def _sympy_roots():
         r = sympy.Rational
-        return [
-            (AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(2)),
-            (AlgebraicPoint(U * U - 3 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(3)),
-            (AlgebraicPoint(2 * U * U - 5 * V * V, Fraction(1), Fraction(2)), sympy.sqrt(r(5, 2))),
-            (finite(Fraction(7, 5)), r(7, 5)),
-            (finite(Fraction(3, 2)), r(3, 2)),
-            (INFINITY, sympy.oo),
-        ]
-
-    @staticmethod
-    def _key(p):
-        return p.defining if isinstance(p, AlgebraicPoint) else p
+        roots = [sympy.sqrt(2), sympy.sqrt(3), sympy.sqrt(r(5, 2))]
+        return sorted(roots + [-x for x in roots] + [r(7, 5), r(3, 2)])
 
     def test_matches_sympy_exact_order(self):
         points = self._points()
-        expected = [self._key(p) for p, _ in sorted(points, key=lambda pv: pv[1])]
+        rationals = [p.value for p in points if isinstance(p, FinitePoint)]
+        assert sorted(rationals) == [Fraction(7, 5), Fraction(3, 2)]
+        # the first intervals hold rationals, so ordering must refine them out
+        assert any(
+            isinstance(p, AlgebraicPoint) and any(p.lo <= x <= p.hi for x in rationals)
+            for p in points
+        )
+        expected = self._sympy_roots()
         rng = random.Random(14)
         for _ in range(8):
             rng.shuffle(points)
-            order = circle_sort_key_refine([p for p, _ in points])
-            assert [self._key(p) for p in order] == expected
+            order = circle_sort_key_refine(points)
+            assert order[-1] == INFINITY
             finite_pts = order[:-1]
-            for a, b in zip(finite_pts, finite_pts[1:]):
-                assert compare_finite(a, b) == -1
-            for p in finite_pts:
-                if isinstance(p, AlgebraicPoint):
-                    assert not any(
-                        p.lo <= q.value <= p.hi for q in finite_pts if isinstance(q, FinitePoint)
-                    )
+            assert len(finite_pts) == len(expected)
+            for p, x in zip(finite_pts, expected):
+                if isinstance(p, FinitePoint):
+                    assert p.value == x
+                else:
+                    assert p.lo < x < p.hi
+                    assert not any(p.lo <= y <= p.hi for y in rationals)
 
-    def test_overlapping_intervals_of_two_rests_are_refined_apart(self):
-        # sqrt(2) and sqrt(2 + 10^-6) on coprime rests: both first intervals
-        # are (0, B) with B the rest's Cauchy bound
+    def test_points_of_two_rests_raise(self):
+        # sqrt(2) and sqrt(2 + 10^-6) on coprime rests: the circle order is
+        # that of the roots of one squarefree form, so two forms are refused
         rests = [[-2, 0, 1], [-(2 * 10 ** 6 + 1), 0, 10 ** 6]]
         points = [pt for rest in rests for _, pts in rational_split(rest) for pt in pts]
-        positive = [pt for pt in points if pt.lo >= 0]
-        a, b = positive
-        assert a.hi > b.lo and b.hi > a.lo
-        order = circle_sort_key_refine(points)
-        keys = [sympy.sqrt(2), sympy.sqrt(sympy.Rational(2 * 10 ** 6 + 1, 10 ** 6))]
-        expected = sorted([-x for x in keys] + keys)
-        assert len(order) == 4
-        for pt, x in zip(order, expected):
-            assert pt.lo < x < pt.hi
-        for left, right in zip(order, order[1:]):
-            assert left.hi <= right.lo
+        with pytest.raises(ValueError, match="more than one defining form"):
+            circle_sort_key_refine(points)
+
+    def test_overlapping_points_of_one_form_raise(self):
+        form = U * U - 2 * V * V
+        minus, plus = (
+            AlgebraicPoint(form, Fraction(-2), Fraction(1, 2)),
+            AlgebraicPoint(form, Fraction(0), Fraction(2)),
+        )
+        with pytest.raises(ValueError, match="overlap or repeat"):
+            circle_sort_key_refine([plus, minus])
+        # the same root twice, on nested intervals
+        with pytest.raises(ValueError, match="overlap or repeat"):
+            circle_sort_key_refine([sqrt2_point(), AlgebraicPoint(form, Fraction(5, 4), Fraction(3, 2))])
+        # intervals that share an end, which is not a root, are fine
+        lower = AlgebraicPoint(form, Fraction(-2), Fraction(1))
+        assert circle_sort_key_refine([sqrt2_point(), lower]) == [lower, sqrt2_point()]
 
     def test_rational_root_in_an_interval_raises(self):
         # (u - v)(u^2 - 2v^2) has the root 1 in (1/2, 5/4), and no bisection

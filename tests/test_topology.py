@@ -19,7 +19,7 @@ from ellsurf import (
     validate,
 )
 from ellsurf.fuzz import random_valid_triple
-from ellsurf.roots import FinitePoint, points_equal
+from ellsurf.roots import FinitePoint
 from ellsurf.topology import I1_MINUS, I1_PLUS
 
 from conftest import U, V
@@ -43,9 +43,7 @@ class TestRealNodalTypes:
         dec = arc_decomposition(w1)
         dec2 = arc_decomposition(twist(w1))
         assert dec2.n_plus == 6 and dec2.n_minus == 6
-        assert len(dec2.points) == len(dec.points)
-        for pt, pt2 in zip(dec.points, dec2.points):
-            assert points_equal(pt, pt2)
+        assert dec2.points == dec.points
         assert dec2.types == tuple(ty.flipped() for ty in dec.types)
 
 

@@ -150,6 +150,18 @@ class TestI0StarTransform:
         ver = verify_i0star(w1, params, y)
         assert ver.ok, ver.failures()
 
+    def test_other_fibers_compare_every_field(self, w1):
+        # one report of Y away from a and b with the wrong v_p: its location
+        # and Kodaira type still match X, the report as a whole does not
+        params = make_params(w1, 4, 5)
+        y = i0star_transform(w1, params)
+        fibers = list(y.fibers)
+        i = next(i for i, r in enumerate(fibers) if isinstance(r.location, AlgebraicPoint))
+        fibers[i] = dataclasses.replace(fibers[i], v_p=fibers[i].v_p + 1)
+        y.__dict__["fibers"] = tuple(fibers)
+        failed = [c.name for c in verify_i0star(w1, params, y).failures()]
+        assert failed == ["other_fibers_unchanged"]
+
     def test_verify_exact_flip_set(self, w1):
         # centers (0, 5/2): flips exactly the four nodal points in (0, 5/2),
         # namely r4 in (0,1), u = 1, u = 2 and r5 in (2, 5/2)
