@@ -7,18 +7,17 @@ have vanishing top or bottom entries, which is how roots at infinity
 dehomogenization at v=1 (which keeps every finite root) as an integer
 polynomial over one positive denominator, in lowest terms.  The order
 of vanishing at infinity is the degree minus the degree of num.  The
-exact kernels of _intpoly read num as it is stored, and the arithmetic
-here stays in integers; Fraction coefficients are built only for
-documents and printing.
+exact kernels of _intpoly read num as it is stored, the arithmetic here
+stays in integers, and coefficient_strings writes the coefficients from
+(num, den) for documents and printing.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _intpoly as ip
 
@@ -86,13 +85,7 @@ class BinForm:
             form = form * BinForm.make(1, [-r, 1])
         return form
 
-    # -- views and basic queries --------------------------------------------
-
-    @functools.cached_property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        """The degree + 1 coefficients as Fractions; built on first use and kept."""
-        tail = (Fraction(0),) * (self.degree + 1 - len(self.num))
-        return tuple(Fraction(c, self.den) for c in self.num) + tail
+    # -- basic queries ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -107,10 +100,6 @@ class BinForm:
         if not self.num:
             raise ValueError("zero form has no content")
         return Fraction(ip.content(self.num), self.den)
-
-    def affine_int(self) -> Tuple[int, ...]:
-        """f(u, 1) times den, stripped, signs kept: num itself, shared by every caller."""
-        return self.num
 
     def v_order_at_infinity(self) -> int:
         """Multiplicity of (1:0) as a root, i.e. degree minus affine degree."""
@@ -174,23 +163,30 @@ class BinForm:
         return BinForm(n * self.degree, tuple(out), self.den ** n)
 
     def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = []
-            if i:
-                mono.append("u" if i == 1 else f"u^{i}")
-            j = self.degree - i
-            if j:
-                mono.append("v" if j == 1 else f"v^{j}")
-            body = "*".join(mono)
-            if not body:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(body)
-            elif c == -1:
-                terms.append(f"-{body}")
-            else:
-                terms.append(f"{c}*{body}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return form_text(self.num, self.den, self.degree)
+
+
+def coefficient_strings(num: Sequence[int], den: int, degree: int) -> List[str]:
+    """The degree + 1 coefficients of num(u) / den as "n" or "n/d" in lowest terms, zeros on top."""
+    out = []
+    for c in num:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out + ["0"] * (degree + 1 - len(num))
+
+
+def form_text(num: Sequence[int], den: int = 1, degree: Optional[int] = None) -> str:
+    """num(u) / den printed as a form, of degree len(num) - 1 unless given: "-2*v^2 + u^2"."""
+    degree = len(num) - 1 if degree is None else degree
+    terms = []
+    for i, c in enumerate(coefficient_strings(num, den, degree)):
+        if c == "0":
+            continue
+        body = "*".join(x if e == 1 else f"{x}^{e}" for x, e in (("u", i), ("v", degree - i)) if e)
+        if not body:
+            terms.append(c)
+        elif c in ("1", "-1"):
+            terms.append(body if c == "1" else f"-{body}")
+        else:
+            terms.append(f"{c}*{body}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"

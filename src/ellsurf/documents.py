@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from .binform import BinForm
+from .binform import BinForm, coefficient_strings
 from .roots import AlgebraicPoint, CirclePoint, FinitePoint, InfinityPoint
 from .topology import (
     ArcDecomposition,
@@ -63,8 +63,8 @@ def format_rational(x: Fraction) -> str:
 def triple_to_document(t: WeierstrassTriple) -> dict:
     return {
         "k": t.k,
-        "p": [format_rational(c) for c in t.p.coeffs],
-        "q": [format_rational(c) for c in t.q.coeffs],
+        "p": coefficient_strings(t.p.num, t.p.den, t.p.degree),
+        "q": coefficient_strings(t.q.num, t.q.den, t.q.degree),
     }
 
 
@@ -116,7 +116,7 @@ def point_to_document(pt: CirclePoint) -> dict:
     assert isinstance(pt, AlgebraicPoint)
     return {
         "type": "algebraic",
-        "defining": [format_rational(c) for c in pt.defining.coeffs],
+        "defining": [str(c) for c in pt.defining],
         "lo": format_rational(pt.lo),
         "hi": format_rational(pt.hi),
     }
@@ -127,7 +127,7 @@ def fiber_to_document(rep: FiberReport) -> dict:
     if isinstance(loc, ConjugatePairTag):
         location = {
             "type": "conjugate-pairs",
-            "factor": [format_rational(c) for c in loc.factor.coeffs],
+            "factor": [str(c) for c in loc.factor],
             "pairs": loc.pairs,
         }
     else:

@@ -111,7 +111,7 @@ def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> Tuple[int, ...]:
         assert isinstance(pt, FinitePoint)
         pval = t.p.evaluate(pt.value)
         qval = t.q.evaluate(pt.value)
-    return BinForm.from_affine(3, [qval, pval, 0, 1]).affine_int()
+    return BinForm.from_affine(3, [qval, pval, 0, 1]).num
 
 
 def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int]) -> FiberSlice:

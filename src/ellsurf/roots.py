@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm
+from .binform import BinForm, form_text
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,14 @@ class FinitePoint:
 class AlgebraicPoint:
     """Irrational real root of `defining`, isolated in (lo, hi).
 
-    `defining` is squarefree with integer primitive coefficients; it has
-    exactly one root in the open interval and the endpoints are not
-    roots.  `lo_sign` is the sign of defining(u, 1) at lo, which every
-    refinement keeps; it is evaluated when not given, and two points
-    are equal when (defining, lo, hi) are.
+    `defining` is a squarefree primitive integer tuple, ascending and
+    stripped; it has exactly one root in the open interval and the
+    endpoints are not roots.  `lo_sign` is the sign of defining at lo,
+    which every refinement keeps; it is evaluated when not given, and
+    two points are equal when (defining, lo, hi) are.
     """
 
-    defining: BinForm
+    defining: Tuple[int, ...]
     lo: Fraction
     hi: Fraction
     lo_sign: int = field(default=0, compare=False, repr=False)
@@ -50,11 +50,11 @@ class AlgebraicPoint:
         if not self.lo < self.hi:
             raise ValueError("isolating interval must be non-degenerate")
         if not self.lo_sign:
-            object.__setattr__(self, "lo_sign", ip.eval_sign(self.defining.affine_int(), self.lo))
+            object.__setattr__(self, "lo_sign", ip.eval_sign(self.defining, self.lo))
 
     def refined(self) -> "AlgebraicPoint":
         """Halve the isolating interval (exact bisection step)."""
-        lo, hi = ip.refine_interval(self.defining.affine_int(), self.lo, self.hi, self.lo_sign)
+        lo, hi = ip.refine_interval(self.defining, self.lo, self.hi, self.lo_sign)
         return AlgebraicPoint(self.defining, lo, hi, self.lo_sign)
 
     def excluding(self, x: Fraction) -> "AlgebraicPoint":
@@ -64,14 +64,14 @@ class AlgebraicPoint:
         (no refinement can exclude it) and raises ValueError.
         """
         pt = self
-        if pt.lo <= x <= pt.hi and self.defining.evaluate(x) == 0:
-            raise ValueError(f"{x} is a rational root of {self.defining} in the interval")
+        if pt.lo <= x <= pt.hi and ip.eval_sign(self.defining, x) == 0:
+            raise ValueError(f"{x} is a rational root of {form_text(self.defining)} in the interval")
         while pt.lo <= x <= pt.hi:
             pt = pt.refined()
         return pt
 
     def __str__(self) -> str:
-        return f"root of {self.defining} in ({self.lo}, {self.hi})"
+        return f"root of {form_text(self.defining)} in ({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def circle_sort_key_refine(points: Sequence[CirclePoint]) -> List[CirclePoint]:
 # real points of a squarefree polynomial
 
 
-def factor_order(factor: list) -> tuple:
+def factor_order(factor: Tuple[int, ...]) -> tuple:
     """Sort key of an integer factor: degree, then coefficients from the leading one down.
 
     This is the order sympy's factor_list gives irreducible factors.
@@ -155,27 +155,27 @@ def factor_order(factor: list) -> tuple:
     return len(factor), factor[::-1]
 
 
-def rational_split(s: list) -> List[Tuple[list, List[CirclePoint]]]:
+def rational_split(s: list) -> List[Tuple[Tuple[int, ...], List[CirclePoint]]]:
     """Squarefree integer s as [(factor, real points of factor)], without factoring.
 
     Each rational root a/b (ip.rational_roots) gives the factor b u - a
     with its FinitePoint.  The quotient of s by all of them, when not
     constant, has no rational root, so each of its real points is an
-    AlgebraicPoint on it.  Factors are primitive with lc > 0 and sorted
-    by factor_order; whenever the quotient is irreducible they are the
-    irreducible factors of s in sympy's order.
+    AlgebraicPoint on it.  Factors are integer tuples, primitive with
+    lc > 0 and sorted by factor_order; whenever the quotient is
+    irreducible they are the irreducible factors of s in sympy's order.
     """
     roots, rest = ip.rational_roots(s)
-    out: List[Tuple[list, List[CirclePoint]]] = [
-        ([-r.numerator, r.denominator], [FinitePoint(r)]) for r in roots
+    out: List[Tuple[Tuple[int, ...], List[CirclePoint]]] = [
+        ((-r.numerator, r.denominator), [FinitePoint(r)]) for r in roots
     ]
     out.sort(key=lambda unit: factor_order(unit[0]))
     if ip.degree(rest) >= 1:
-        form = BinForm.from_affine(ip.degree(rest), rest)
+        rest = tuple(rest)
         intervals = ip.isolate_real_roots(rest)
         # rest has lc > 0, so its sign left of the i-th of n roots is (-1)^(n - i)
         pts = [
-            AlgebraicPoint(form, lo, hi, -1 if (len(intervals) - i) % 2 else 1)
+            AlgebraicPoint(rest, lo, hi, -1 if (len(intervals) - i) % 2 else 1)
             for i, (lo, hi) in enumerate(intervals)
         ]
         out.append((rest, pts))
@@ -199,11 +199,11 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
     assert isinstance(c, AlgebraicPoint)
     # with no root of g in (lo, hi) the sign is constant there; otherwise
     # either g vanishes at c, or refining c leaves its roots out
-    ga = g.affine_int()
+    ga = g.num
     lo, hi = c.lo, c.hi
     g_lo, g_hi = ip.eval_sign(ga, lo), ip.eval_sign(ga, hi)
     if _may_vanish_in(ga, lo, hi, g_lo, g_hi):
-        s = c.defining.affine_int()
+        s = c.defining
         if _divisor_vanishes_in(ip.gcd(ga, s), lo, hi):
             return 0
         while True:

@@ -53,14 +53,14 @@ from .weierstrass import (
 def twist(t: WeierstrassTriple) -> WeierstrassTriple:
     """(p, q) -> (p, -q): same complex surface, conjugate real structure.
 
-    Delta = 4p^3 + 27q^2 is unchanged, and gcd(p, q) and the Yun
-    decompositions are normalized to lc > 0, so none of them sees the
-    sign of q: the twisted triple takes over whichever of them t has
-    built instead of building it again.
+    Delta = 4p^3 + 27q^2 is unchanged, and gcd(p, q), the Yun
+    decompositions (normalized to lc > 0) and the fiber reports do not
+    see the sign of q: the twisted triple takes over whichever of them
+    t has built.  Its topology, which does, is built anew.
     """
     out = WeierstrassTriple(t.k, t.p, -t.q)
     # cached_property reads its value from the instance dict first
-    for name in ("delta", "pq_gcd", "p_yun", "q_yun"):
+    for name in ("delta", "pq_gcd", "p_yun", "q_yun", "fibers"):
         if name in t.__dict__:
             out.__dict__[name] = t.__dict__[name]
     return out

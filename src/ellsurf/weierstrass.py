@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import _intpoly as ip
-from .binform import BinForm
+from .binform import BinForm, form_text
 from .roots import INFINITY, CirclePoint, factor_order, rational_split
 
 
@@ -66,17 +66,17 @@ class WeierstrassTriple:
         A zero form is the zero polynomial, so the gcd is then the other
         form's data.
         """
-        return ip.gcd(self.p.affine_int(), self.q.affine_int())
+        return ip.gcd(self.p.num, self.q.num)
 
     @functools.cached_property
     def p_yun(self) -> Optional[list]:
         """Yun's decomposition of p's affine data, None for p = 0; built on first use and kept."""
-        return None if self.p.is_zero else ip.yun_decomposition(self.p.affine_int())
+        return None if self.p.is_zero else ip.yun_decomposition(self.p.num)
 
     @functools.cached_property
     def q_yun(self) -> Optional[list]:
         """Yun's decomposition of q's affine data, None for q = 0; built on first use and kept."""
-        return None if self.q.is_zero else ip.yun_decomposition(self.q.affine_int())
+        return None if self.q.is_zero else ip.yun_decomposition(self.q.num)
 
     @functools.cached_property
     def fibers(self) -> Tuple[FiberReport, ...]:
@@ -299,15 +299,15 @@ class ConjugatePairTag:
     """Non-real fibers grouped by the factor cutting them out.
 
     The factor is the part of one stratum of Delta (see classify_fibers)
-    left after its rational roots are divided out; it is squarefree and
-    has no rational root, but need not be irreducible.
+    left after its rational roots are divided out, an integer tuple; it
+    is squarefree and has no rational root, but need not be irreducible.
     """
 
-    factor: BinForm
+    factor: Tuple[int, ...]
     pairs: int
 
     def __str__(self) -> str:
-        return f"{self.pairs} conjugate pair(s) on {self.factor}"
+        return f"{self.pairs} conjugate pair(s) on {form_text(self.factor)}"
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def classify_fibers(t: WeierstrassTriple) -> List[FiberReport]:
             reports.append(FiberReport(pt, v_p, v_q, v_delta, kod, is_real=True))
         pairs = (ip.degree(factor) - len(real_pts)) // 2
         if pairs:
-            tag = ConjugatePairTag(BinForm.from_affine(ip.degree(factor), factor), pairs)
+            tag = ConjugatePairTag(factor, pairs)
             reports.append(FiberReport(tag, v_p, v_q, v_delta, kod, is_real=False))
 
     v_delta_inf = t.delta.v_order_at_infinity()
@@ -397,7 +397,7 @@ def _strata(t: WeierstrassTriple) -> list:
     """
     shared = t.pq_gcd
     strata = []
-    for g, v_delta in ip.yun_decomposition(t.delta.affine_int()):
+    for g, v_delta in ip.yun_decomposition(t.delta.num):
         if ip.degree(shared) >= 1:
             common = ip.gcd(g, shared)
             if ip.degree(common) >= 1:

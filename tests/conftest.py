@@ -1,6 +1,9 @@
 import contextlib
+import fractions
 import signal
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,31 @@ def monomial(degree, i, c=1):
     coeffs = [0] * (degree + 1)
     coeffs[i] = c
     return BinForm.make(degree, coeffs)
+
+
+def fraction_coeffs(f):
+    """The degree + 1 coefficients of the form f as Fractions, zeros on top.
+
+    Built here from (degree, num, den), apart from the formatter the
+    documents use, as the tests' reference view of a form.
+    """
+    return tuple(Fraction(c, f.den) for c in f.num) + (Fraction(0),) * (f.degree + 1 - len(f.num))
+
+
+def fraction_calls(fn):
+    """fn's result and the names of the fractions.py functions it called, in order."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
 
 
 def rescale(t, lam):
@@ -80,18 +108,20 @@ def circle_roots(f):
     rational_split of the squarefree part gives the finite ones,
     circle_sort_key_refine orders them, and inf follows when v divides f.
     """
-    pts = [pt for _, unit in rational_split(ip.squarefree_part(f.affine_int())) for pt in unit]
+    pts = [pt for _, unit in rational_split(ip.squarefree_part(f.num)) for pt in unit]
     if f.v_order_at_infinity() >= 1:
         pts.append(INFINITY)
     return circle_sort_key_refine(pts)
 
 
 def _d_du(f):
-    return BinForm.make(f.degree - 1, [f.coeffs[i + 1] * (i + 1) for i in range(f.degree)])
+    c = fraction_coeffs(f)
+    return BinForm.make(f.degree - 1, [c[i + 1] * (i + 1) for i in range(f.degree)])
 
 
 def _d_dv(f):
-    return BinForm.make(f.degree - 1, [f.coeffs[i] * (f.degree - i) for i in range(f.degree)])
+    c = fraction_coeffs(f)
+    return BinForm.make(f.degree - 1, [c[i] * (f.degree - i) for i in range(f.degree)])
 
 
 def _pure_derivatives(f, order):
@@ -122,9 +152,9 @@ def nonminimal_witness_reference(p, q):
     rest as a form.
     """
     forms = [d for f, order in ((p, 3), (q, 5)) if not f.is_zero for d in _pure_derivatives(f, order)]
-    g, m = forms[0].affine_int(), forms[0].v_order_at_infinity()
+    g, m = forms[0].num, forms[0].v_order_at_infinity()
     for f in forms[1:]:
-        g, m = ip.gcd(g, f.affine_int()), min(m, f.v_order_at_infinity())
+        g, m = ip.gcd(g, f.num), min(m, f.v_order_at_infinity())
     if m >= 1:
         return "inf"
     if ip.degree(g) < 1:

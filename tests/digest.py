@@ -18,8 +18,12 @@ The outputs are
   --oracle-every 1` for K = 1, 2, 3.
 
 tests/test_digest.py recomputes them and names the lines that differ
-from tests/golden/digest.txt.  A change that alters outputs on purpose
-regenerates the file with
+from tests/golden/digest.txt; so does
+
+    PYTHONPATH=src python tests/digest.py
+
+which exits 1 on any difference and needs only the runtime (no sympy).
+A change that alters outputs on purpose regenerates the file with
 
     PYTHONPATH=src python tests/digest.py --write
 
@@ -35,11 +39,12 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from click.testing import CliRunner
 
 from ellsurf import BinForm, documents
+from ellsurf.binform import coefficient_strings
 from ellsurf.cli import main
 from ellsurf.oracle import compare
 from ellsurf.roots import AlgebraicPoint, FinitePoint
@@ -130,8 +135,8 @@ def _random_cofactor(rng: random.Random, degree: int) -> BinForm:
 def _document(k: int, p: BinForm, q: BinForm) -> dict:
     return {
         "k": k,
-        "p": [documents.format_rational(c) for c in p.coeffs],
-        "q": [documents.format_rational(c) for c in q.coeffs],
+        "p": coefficient_strings(p.num, p.den, p.degree),
+        "q": coefficient_strings(q.num, q.den, q.degree),
     }
 
 
@@ -171,7 +176,7 @@ def _point_text(pt) -> str:
     if isinstance(pt, FinitePoint):
         return documents.format_rational(pt.value)
     if isinstance(pt, AlgebraicPoint):
-        coeffs = ",".join(documents.format_rational(c) for c in pt.defining.coeffs)
+        coeffs = ",".join(str(c) for c in pt.defining)
         lo, hi = (documents.format_rational(x) for x in (pt.lo, pt.hi))
         return f"root of [{coeffs}] in ({lo}, {hi})"
     return "inf"
@@ -245,8 +250,22 @@ def read_lines(path: Path = DIGEST) -> Dict[str, Tuple[str, int]]:
     return out
 
 
+def differences(recorded: Dict[str, Tuple[str, int]], current: Dict[str, Tuple[str, int]]) -> List[str]:
+    """One line per output name whose (sha256, exit code) differs or is missing on one side."""
+    return [
+        f"{name}: recorded {recorded.get(name)}, now {current.get(name)}"
+        for name in sorted(set(recorded) | set(current))
+        if recorded.get(name) != current.get(name)
+    ]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/digest.py --write")
-    DIGEST.write_text(format_lines(compute()), encoding="utf-8")
-    print(f"wrote {DIGEST}")
+    if sys.argv[1:] == ["--write"]:
+        DIGEST.write_text(format_lines(compute()), encoding="utf-8")
+        print(f"wrote {DIGEST}")
+    elif sys.argv[1:]:
+        sys.exit("usage: PYTHONPATH=src python tests/digest.py [--write]")
+    else:
+        differ = differences(read_lines(), compute())
+        print("\n".join(differ) if differ else f"all outputs match {DIGEST}")
+        sys.exit(1 if differ else 0)

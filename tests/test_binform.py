@@ -1,8 +1,6 @@
 """Binary form arithmetic, gcd and squarefree structure."""
 
-import fractions
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -14,12 +12,12 @@ from ellsurf import BinForm, FormDegreeError, WeierstrassTriple
 from ellsurf import _intpoly as ip
 from ellsurf.fuzz import random_valid_triple
 
-from conftest import U, V, interlace_sextic, poly_mul
+from conftest import U, V, fraction_calls, fraction_coeffs, interlace_sextic, poly_mul
 
 
 class TestArithmetic:
     def test_add(self):
-        assert (U + V).coeffs == (1, 1)
+        assert fraction_coeffs(U + V) == (1, 1)
         assert ((U + V) + (U - V)) == 2 * U
 
     def test_add_degree_mismatch(self):
@@ -49,8 +47,8 @@ class TestArithmetic:
     def test_content(self):
         f = BinForm.make(2, [Fraction(4, 6), Fraction(-2, 3), 2])
         assert f.content == Fraction(2, 3)
-        prim = BinForm.from_affine(f.degree, ip.primitive(f.affine_int()))
-        assert all(x.denominator == 1 for x in prim.coeffs)
+        prim = BinForm.from_affine(f.degree, ip.primitive(f.num))
+        assert all(x.denominator == 1 for x in fraction_coeffs(prim))
         assert f.content * prim == f
         assert (-f).content == f.content
 
@@ -80,17 +78,17 @@ def _euclid_gcd_degree(f, g):
 class TestGcdSquarefree:
     def test_repeated_linear(self):
         f = (U - V) ** 2
-        sq = ip.squarefree_part(f.affine_int())
+        sq = ip.squarefree_part(f.num)
         assert sq == [-1, 1]
-        assert ip.try_div_exact(f.affine_int(), sq) == [-1, 1]
+        assert ip.try_div_exact(f.num, sq) == [-1, 1]
 
     def test_monomial(self):
         f = U ** 6 * V ** 6
-        assert ip.squarefree_part(f.affine_int()) == [0, 1]  # u
+        assert ip.squarefree_part(f.num) == [0, 1]  # u
         assert f.v_order_at_infinity() == 6
 
     def test_already_squarefree_by_independent_euclid(self):
-        a = interlace_sextic().affine_int()
+        a = interlace_sextic().num
         # oracle: gcd(f, f') is a constant, computed by naive Euclid
         assert _euclid_gcd_degree(a, ip.derivative(a)) == 0
         assert ip.squarefree_part(a) == list(a)
@@ -98,13 +96,13 @@ class TestGcdSquarefree:
     def test_product_relation(self):
         f = (U - V) ** 3 * (U + 2 * V) * V ** 2
         prod = [1]
-        for comp, m in ip.yun_decomposition(f.affine_int()):
+        for comp, m in ip.yun_decomposition(f.num):
             for _ in range(m):
                 prod = poly_mul(prod, comp)
         # f(u, 1) = prod g_i^i up to a rational scalar
-        assert len(prod) == len(f.affine_int())
+        assert len(prod) == len(f.num)
         ratio = None
-        for a, b in zip(prod, f.affine_int()):
+        for a, b in zip(prod, f.num):
             if b == 0:
                 assert a == 0
                 continue
@@ -114,7 +112,7 @@ class TestGcdSquarefree:
 
     def test_squarefree_decomposition(self):
         f = (U - V) ** 2 * (U + V) * (U - 3 * V) ** 3
-        assert [m for _, m in ip.yun_decomposition(f.affine_int())] == [1, 2, 3]
+        assert [m for _, m in ip.yun_decomposition(f.num)] == [1, 2, 3]
 
 
 small_frac = st.fractions(
@@ -142,26 +140,26 @@ class TestProperties:
     @given(forms(), forms())
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides_both(self, f, g):
-        d = ip.gcd(f.affine_int(), g.affine_int())
+        d = ip.gcd(f.num, g.num)
         for h in (f, g):
-            assert ip.try_div_exact(h.affine_int(), d) is not None
+            assert ip.try_div_exact(h.num, d) is not None
 
     @given(forms(), forms())
     @settings(max_examples=60, deadline=None)
     def test_mul_matches_fraction_convolution(self, f, g):
-        product = poly_mul(list(f.coeffs), list(g.coeffs))
+        product = poly_mul(fraction_coeffs(f), fraction_coeffs(g))
         product += [Fraction(0)] * (f.degree + g.degree + 1 - len(product))
-        assert (f * g).coeffs == tuple(product)
+        assert fraction_coeffs(f * g) == tuple(product)
 
     @given(forms(max_degree=6), small_frac)
     @settings(max_examples=80, deadline=None)
     def test_evaluate_matches_fraction_sum(self, f, u):
-        assert f.evaluate(u) == sum(c * u ** i for i, c in enumerate(f.coeffs))
+        assert f.evaluate(u) == sum(c * u ** i for i, c in enumerate(fraction_coeffs(f)))
 
     @given(forms())
     @settings(max_examples=40, deadline=None)
     def test_squarefree_part_is_squarefree(self, f):
-        sq = ip.squarefree_part(f.affine_int())
+        sq = ip.squarefree_part(f.num)
         assert ip.squarefree_part(sq) == sq
         assert _euclid_gcd_degree(sq, ip.derivative(sq)) == 0
 
@@ -172,7 +170,7 @@ def _in_normal_form(f):
         f.den >= 1
         and (not f.num or f.num[-1] != 0)
         and gcd(ip.content(f.num), f.den) == 1
-        and BinForm.make(f.degree, f.coeffs) == f
+        and BinForm.make(f.degree, fraction_coeffs(f)) == f
     )
 
 
@@ -185,17 +183,17 @@ class TestNormalForm:
         g = BinForm.make(d, data.draw(st.lists(small_frac, min_size=d + 1, max_size=d + 1)))
         power = [1]
         for _ in range(n):
-            power = poly_mul(power, f.coeffs)
+            power = poly_mul(power, fraction_coeffs(f))
         pairs = [
-            (f, BinForm.from_affine(d, list(f.coeffs))),
-            (f, BinForm.from_affine(d, ip.strip(f.coeffs))),
-            (f + g, BinForm.make(d, [a + b for a, b in zip(f.coeffs, g.coeffs)])),
+            (f, BinForm.from_affine(d, fraction_coeffs(f))),
+            (f, BinForm.from_affine(d, ip.strip(fraction_coeffs(f)))),
+            (f + g, BinForm.make(d, [a + b for a, b in zip(fraction_coeffs(f), fraction_coeffs(g))])),
             (f - f, BinForm.from_affine(d, [])),
-            (f * g, BinForm.from_affine(2 * d, poly_mul(f.coeffs, g.coeffs))),
+            (f * g, BinForm.from_affine(2 * d, poly_mul(fraction_coeffs(f), fraction_coeffs(g)))),
             (f ** n, BinForm.from_affine(n * d, power)),
-            (c * f, BinForm.make(d, [c * a for a in f.coeffs])),
-            (f * m, BinForm.make(d, [m * a for a in f.coeffs])),
-            (-f, BinForm.make(d, [-a for a in f.coeffs])),
+            (c * f, BinForm.make(d, [c * a for a in fraction_coeffs(f)])),
+            (f * m, BinForm.make(d, [m * a for a in fraction_coeffs(f)])),
+            (-f, BinForm.make(d, [-a for a in fraction_coeffs(f)])),
         ]
         for lhs, rhs in pairs:
             assert lhs == rhs and hash(lhs) == hash(rhs)
@@ -216,17 +214,7 @@ class TestNormalForm:
     def test_discriminant_of_integer_forms_runs_no_fraction_code(self):
         t = random_valid_triple(random.Random(2024), 4)
         t = WeierstrassTriple(t.k, t.p, t.q)  # a fresh triple: delta not built yet
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename == fractions.__file__:
-                calls.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            delta = t.delta
-        finally:
-            sys.setprofile(None)
+        delta, calls = fraction_calls(lambda: t.delta)
         assert calls == []
         assert delta.den == 1 and delta.degree == 48
         assert "delta" in t.__dict__

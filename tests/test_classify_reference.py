@@ -27,21 +27,22 @@ from ellsurf.documents import load_triple
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.weierstrass import kodaira_from_valuations
 
-from conftest import U, V, iterate_i0star
+from conftest import U, V, fraction_coeffs, iterate_i0star
 
 X = sympy.Symbol("x")
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _sympy_poly(form):
-    return sympy.Poly(list(reversed(form.coeffs)), X, domain="QQ")
+def _sympy_poly(coeffs):
+    """The polynomial with the given ascending coefficients."""
+    return sympy.Poly(list(reversed(coeffs)), X, domain="QQ")
 
 
 def _orders(form):
     """{monic irreducible factor: order} of the affine part of form; None for 0."""
     if form.is_zero:
         return None
-    return {fac.monic(): m for fac, m in _sympy_poly(form).factor_list()[1]}
+    return {fac.monic(): m for fac, m in _sympy_poly(fraction_coeffs(form)).factor_list()[1]}
 
 
 def _reference(t):

@@ -4,13 +4,7 @@ import digest
 
 
 def test_digest_matches_the_recorded_outputs():
-    recorded = digest.read_lines()
-    current = digest.compute()
-    differ = [
-        f"{name}: recorded {recorded.get(name)}, now {current.get(name)}"
-        for name in sorted(set(recorded) | set(current))
-        if recorded.get(name) != current.get(name)
-    ]
+    differ = digest.differences(digest.read_lines(), digest.compute())
     assert not differ, "outputs differ from tests/golden/digest.txt:\n" + "\n".join(differ)
 
 

@@ -1,5 +1,6 @@
 """Triple documents: parsing, serialization, roundtrips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,23 @@ from ellsurf import validate
 from ellsurf.documents import (
     DocumentError,
     dump_json,
+    fiber_to_document,
     format_rational,
     parse_rational,
     triple_from_document,
     triple_to_document,
 )
-from ellsurf.weierstrass import NonMinimal
+from ellsurf.fuzz import random_valid_triple
+from ellsurf.roots import AlgebraicPoint, FinitePoint
+from ellsurf.weierstrass import ConjugatePairTag, NonMinimal, WeierstrassTriple
 
-from conftest import U, V
+from conftest import U, V, fraction_calls, fraction_coeffs
+
+
+def _seeded_k4_triple():
+    """A seeded k = 4 triple with denominators 2 in p and 3 in q."""
+    t = random_valid_triple(random.Random(2024), 4)
+    return WeierstrassTriple(t.k, t.p * Fraction(1, 2), t.q * Fraction(5, 3))
 
 
 class TestRationals:
@@ -80,3 +90,34 @@ class TestTripleDocuments:
         w = U * U + V * V
         t = validate(1, -(w ** 2), Fraction(1, 3) * w ** 3)
         assert triple_from_document(triple_to_document(t)) == t
+
+    def test_coefficients_are_the_fractions_of_the_form(self):
+        t = _seeded_k4_triple()
+        doc = triple_to_document(t)
+        assert doc["p"] == [format_rational(c) for c in fraction_coeffs(t.p)]
+        assert doc["q"] == [format_rational(c) for c in fraction_coeffs(t.q)]
+        assert any("/" in c for c in doc["p"]) and any("/" in c for c in doc["q"])
+
+    def test_triple_to_document_runs_no_fraction_code(self):
+        t = _seeded_k4_triple()
+        doc, calls = fraction_calls(lambda: triple_to_document(t))
+        assert calls == []
+        assert triple_from_document(doc) == t
+
+
+class TestFiberDocuments:
+    def test_classified_fibers_are_written_without_building_fractions(self, w1):
+        # seeded k = 4 triples, and w1 for rational points
+        triples = [random_valid_triple(random.Random(seed), 4) for seed in range(1, 5)] + [w1]
+        fibers = [r for t in triples for r in t.fibers]
+        locations = [r.location for r in fibers]
+        assert any(isinstance(x, AlgebraicPoint) for x in locations)
+        assert any(isinstance(x, ConjugatePairTag) for x in locations)
+        assert any(isinstance(x, FinitePoint) for x in locations)
+        docs, calls = fraction_calls(lambda: [fiber_to_document(r) for r in fibers])
+        assert "__new__" not in calls
+        for r, doc in zip(fibers, docs):
+            if isinstance(r.location, AlgebraicPoint):
+                assert doc["location"]["defining"] == [str(c) for c in r.location.defining]
+            elif isinstance(r.location, ConjugatePairTag):
+                assert doc["location"]["factor"] == [str(c) for c in r.location.factor]

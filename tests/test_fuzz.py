@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from ellsurf.fuzz import random_form, random_valid_triple, run_fuzz
 
 
@@ -11,12 +13,17 @@ class TestGenerators:
         for _ in range(20):
             f = random_form(rng, 6, 5)
             assert f.degree == 6
-            assert all(abs(c) <= 5 for c in f.coeffs)
+            assert f.den == 1 and all(abs(c) <= 5 for c in f.num)
 
     def test_random_valid_triple_deterministic(self):
         a = random_valid_triple(random.Random(3), 1)
         b = random_valid_triple(random.Random(3), 1)
         assert a == b
+
+    def test_random_valid_triple_gives_up_after_its_retry_budget(self):
+        # height 0 draws p = q = 0 every time, whose discriminant vanishes
+        with pytest.raises(RuntimeError, match="retry budget"):
+            random_valid_triple(random.Random(5), 1, height=0)
 
     def test_random_valid_triple_k2(self):
         t = random_valid_triple(random.Random(4), 2)

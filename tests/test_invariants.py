@@ -32,7 +32,7 @@ class TestDiscriminantBookkeeping:
 
     def test_isolating_intervals_disjoint_with_one_root_each(self):
         delta = validate(1, -3 * V ** 4, 2 * V ** 6 + interlace_sextic()).delta
-        sq = ip.squarefree_part(delta.affine_int())
+        sq = ip.squarefree_part(delta.num)
         chain = ip.sturm_chain(sq)
         order = circle_roots(delta)
         finite_pts = [p for p in order if hasattr(p, "lo") or hasattr(p, "value")]
@@ -91,7 +91,7 @@ class TestRealGenericityTwoRoutes:
 
     def _generic_by_gcd(self, t):
         delta = t.delta
-        da = delta.affine_int()
+        da = delta.num
         g = ip.gcd(da, ip.derivative(da))
         affine_multiple = ip.degree(g) >= 1 and ip.count_real_roots(g) > 0
         infinity_multiple = delta.v_order_at_infinity() >= 2

@@ -31,7 +31,7 @@ from ellsurf import oracle
 from ellsurf.documents import triple_from_document
 from ellsurf.fuzz import random_valid_triple
 
-from conftest import U, V, monomial
+from conftest import U, V, fraction_coeffs, monomial
 
 
 class TestKnownSurfaces:
@@ -228,7 +228,7 @@ class TestSampleSlices:
         x = sympy.Symbol("x")
         values = []
         for form in (t.p, t.q):
-            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in form.coeffs]
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in fraction_coeffs(form)]
             if point == INFINITY:
                 values.append(coeffs[-1])
             else:

@@ -25,11 +25,11 @@ from ellsurf.roots import (
     sample_between,
 )
 
-from conftest import U, V, circle_roots, interlace_sextic, poly_mul, time_limit
+from conftest import U, V, circle_roots, fraction_coeffs, interlace_sextic, poly_mul, time_limit
 
 
 def sqrt2_point():
-    return AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2))
+    return AlgebraicPoint((-2, 0, 1), Fraction(1), Fraction(2))
 
 
 def _sympy_sign_at_root(g, s, lo, hi):
@@ -84,7 +84,7 @@ class TestIsolation:
             if f.is_zero:
                 continue
             order = circle_roots(f)
-            affine = ip.squarefree_part(f.affine_int())
+            affine = ip.squarefree_part(f.num)
             expected = ip.count_real_roots(affine)
             expected += 1 if f.v_order_at_infinity() >= 1 else 0
             assert len(order) == expected
@@ -98,10 +98,10 @@ class TestIsolation:
             f = BinForm.make(d, [rng.randint(-7, 7) for _ in range(d + 1)])
             if f.is_zero:
                 continue
-            chart1 = ip.count_real_roots(ip.squarefree_part(f.affine_int()))
+            chart1 = ip.count_real_roots(ip.squarefree_part(f.num))
             chart1 += 1 if f.v_order_at_infinity() >= 1 else 0
-            g = BinForm.make(f.degree, reversed(f.coeffs))  # u and v swapped
-            chart2 = ip.count_real_roots(ip.squarefree_part(g.affine_int()))
+            g = BinForm.make(f.degree, reversed(fraction_coeffs(f)))  # u and v swapped
+            chart2 = ip.count_real_roots(ip.squarefree_part(g.num))
             chart2 += 1 if g.v_order_at_infinity() >= 1 else 0
             assert chart1 == chart2 == len(circle_roots(f))
 
@@ -120,6 +120,11 @@ class TestSignAt:
     def test_direct_evaluation(self):
         g = BinForm.make(6, [-34, 0, 49, 0, -14, 0, 1])
         assert sign_at(g, finite(1)) == 1  # 1 - 14 + 49 - 34 = 2
+
+    def test_zero_form_is_zero_everywhere(self):
+        zero = BinForm.from_affine(3, [])
+        for c in (finite(0), finite(Fraction(-5, 2)), sqrt2_point(), INFINITY):
+            assert sign_at(zero, c) == 0
 
     def test_sign_at_infinity(self):
         assert sign_at(U ** 2 * V, INFINITY) == 0
@@ -154,9 +159,9 @@ class TestSignAt:
             x0, r = (2 * pt.lo + pt.hi) / 3, (pt.hi - pt.lo) / 10
             g = h
             if case == "vanishes":
-                g = poly_mul(h, pt.defining.affine_int())
+                g = poly_mul(h, pt.defining)
             elif case == "vanishes twice":
-                g = poly_mul(h, poly_mul(pt.defining.affine_int(), pt.defining.affine_int()))
+                g = poly_mul(h, poly_mul(pt.defining, pt.defining))
             elif case == "root in the interval":
                 mid = (pt.lo + pt.hi) / 2
                 g = poly_mul(h, [-mid.numerator, mid.denominator])
@@ -164,11 +169,11 @@ class TestSignAt:
                 g = poly_mul(h, [-x0.numerator, x0.denominator])
             elif case == "two roots in the interval":
                 # x0 +- r / sqrt(2): g has the same sign at both ends
-                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 - r * r / 2, -2 * x0, 1]).affine_int())
+                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 - r * r / 2, -2 * x0, 1]).num)
             elif case == "complex pair over the interval":
-                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 + r * r, -2 * x0, 1]).affine_int())
+                g = poly_mul(h, BinForm.from_affine(2, [x0 * x0 + r * r, -2 * x0, 1]).num)
             form = BinForm.from_affine(ip.degree(g) + 1, g)
-            expected = _sympy_sign_at_root(g, pt.defining.affine_int(), pt.lo, pt.hi)
+            expected = _sympy_sign_at_root(g, pt.defining, pt.lo, pt.hi)
             with time_limit(10):
                 assert sign_at(form, pt) == expected
 
@@ -188,7 +193,7 @@ class TestProperties:
         if choice == 1:
             return INFINITY
         shift = rng.randint(-3, 3)
-        defi = (U - shift * V) ** 2 - 2 * V * V  # root shift + sqrt(2), primitive
+        defi = ((U - shift * V) ** 2 - 2 * V * V).num  # root shift + sqrt(2), primitive
         return AlgebraicPoint(defi, Fraction(shift) + 1, Fraction(shift) + 2)
 
     def test_sign_multiplicative(self):
@@ -259,8 +264,8 @@ class TestSampleBetween:
         assert sample_between(finite(3), INFINITY).value > 3
 
     def test_algebraic_endpoints(self):
-        a = AlgebraicPoint(U * U - 2 * V * V, Fraction(1), Fraction(2))
-        b = AlgebraicPoint(U * U - 3 * V * V, Fraction(1), Fraction(2))
+        a = AlgebraicPoint((-2, 0, 1), Fraction(1), Fraction(2))
+        b = AlgebraicPoint((-3, 0, 1), Fraction(1), Fraction(2))
         s = sample_between(a, b)
         # sqrt(2) < sample < sqrt(3)
         assert s.value ** 2 > 2 and s.value ** 2 < 3
@@ -299,7 +304,7 @@ class TestCircleOrder:
 
     @classmethod
     def _points(cls):
-        return [pt for _, pts in rational_split(cls.FORM.affine_int()) for pt in pts] + [INFINITY]
+        return [pt for _, pts in rational_split(cls.FORM.num) for pt in pts] + [INFINITY]
 
     @staticmethod
     def _sympy_roots():
@@ -340,7 +345,7 @@ class TestCircleOrder:
             circle_sort_key_refine(points)
 
     def test_overlapping_points_of_one_form_raise(self):
-        form = U * U - 2 * V * V
+        form = (-2, 0, 1)  # u^2 - 2v^2
         minus, plus = (
             AlgebraicPoint(form, Fraction(-2), Fraction(1, 2)),
             AlgebraicPoint(form, Fraction(0), Fraction(2)),
@@ -357,7 +362,7 @@ class TestCircleOrder:
     def test_rational_root_in_an_interval_raises(self):
         # (u - v)(u^2 - 2v^2) has the root 1 in (1/2, 5/4), and no bisection
         # midpoint of that interval is 1, so refining never excludes it
-        pt = AlgebraicPoint((U - V) * (U * U - 2 * V * V), Fraction(1, 2), Fraction(5, 4))
+        pt = AlgebraicPoint(((U - V) * (U * U - 2 * V * V)).num, Fraction(1, 2), Fraction(5, 4))
         with time_limit(10):
             with pytest.raises(ValueError):
                 pt.excluding(Fraction(1))
@@ -371,7 +376,7 @@ class TestCircleOrder:
     def test_root_shared_by_two_forms_raises(self):
         # sqrt(2) once on u^2 - 2v^2 and once on (u^2 - 2v^2)(u^2 - 3v^2)
         shared = AlgebraicPoint(
-            (U * U - 2 * V * V) * (U * U - 3 * V * V), Fraction(13, 10), Fraction(3, 2)
+            ((U * U - 2 * V * V) * (U * U - 3 * V * V)).num, Fraction(13, 10), Fraction(3, 2)
         )
         with pytest.raises(ValueError):
             circle_sort_key_refine([sqrt2_point(), finite(0), shared])

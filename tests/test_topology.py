@@ -20,7 +20,7 @@ from ellsurf import (
 )
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.roots import FinitePoint
-from ellsurf.topology import I1_MINUS, I1_PLUS
+from ellsurf.topology import I1_MINUS, I1_PLUS, _nodal_type_unchecked
 
 from conftest import U, V
 
@@ -45,6 +45,14 @@ class TestRealNodalTypes:
         assert dec2.n_plus == 6 and dec2.n_minus == 6
         assert dec2.points == dec.points
         assert dec2.types == tuple(ty.flipped() for ty in dec.types)
+
+
+    def test_nodal_type_refuses_a_zero_of_q(self):
+        # q = u v^5 vanishes at 0, where Delta = 27 v^10 (u^2 - 4 v^2) does not
+        t = validate(1, -3 * V ** 4, U * V ** 5)
+        with pytest.raises(ValueError, match="q vanishes at c"):
+            _nodal_type_unchecked(t, finite(0))
+        assert _nodal_type_unchecked(t, finite(2)) == I1_MINUS  # q(2) = 2 > 0
 
 
 class TestSmoothFiberComponents:

@@ -46,11 +46,29 @@ class TestTwist:
     def test_hands_the_discriminant_on(self, w1):
         assert twist(w1).delta is w1.delta
 
+    def test_hands_the_fiber_reports_on(self):
+        rng = random.Random(31)
+        for k in (1, 2, 3, 4):
+            for _ in range(4):
+                t = random_valid_triple(rng, k)
+                assert "fibers" not in twist(t).__dict__  # t has not built them
+                reports = t.fibers
+                tw = twist(t)
+                assert tw.__dict__["fibers"] is reports
+                assert list(tw.fibers) == classify_fibers(WeierstrassTriple(t.k, t.p, -t.q))
+
+    def test_builds_the_topology_anew(self, w1):
+        before = w1.topology
+        tw = twist(w1)
+        assert "topology" not in tw.__dict__
+        assert tw.topology == betti(WeierstrassTriple(w1.k, w1.p, -w1.q))
+        assert tw.topology.arcs.types == tuple(ty.flipped() for ty in before.arcs.types)
+
     def test_search_candidate_and_twist_share_one_gcd_and_yun_of_p_and_q(self, monkeypatch):
         # h0 = 5 at k = 2: p = -3g^2 and q = 2g^3 - 2^-10 h share u^2 + v^2
         g, h = _family_g_h(2, 4, 0, 0)
         p, q = -3 * g ** 2, 2 * g ** 3 - Fraction(1, 2 ** 10) * h
-        pa, qa = p.affine_int(), q.affine_int()
+        pa, qa = p.num, q.num
         yun_of, gcd_of = [], []
         yun_decomposition, gcd = ip.yun_decomposition, ip.gcd
 

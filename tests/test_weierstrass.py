@@ -30,6 +30,7 @@ from ellsurf.weierstrass import kodaira_from_valuations
 from conftest import (
     U,
     V,
+    fraction_coeffs,
     interlace_sextic,
     monomial,
     nonminimal_witness_reference,
@@ -119,6 +120,15 @@ class TestValidate:
     def test_degree_mismatch(self):
         with pytest.raises(WeierstrassError):
             validate(2, BinForm.from_affine(4, []), BinForm.from_affine(6, []))
+
+    def test_q_degree_mismatch(self):
+        with pytest.raises(WeierstrassError, match="q must have container degree 6, got 4"):
+            validate(1, V ** 4, U ** 4)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(WeierstrassError, match="k must be a positive integer"):
+            validate(k, BinForm.from_affine(0, []), V ** 6)
 
     def test_nonminimal_conjugate_pair_witnessed_by_factor(self):
         w = U * U + V * V
@@ -218,11 +228,11 @@ class TestDiscriminant:
         delta = WeierstrassTriple(k, p, q).delta
         assert delta == 4 * p ** 3 + 27 * q ** 2
         # and coefficient by coefficient over Q, with no library product
-        p3 = poly_mul(poly_mul(list(p.coeffs), list(p.coeffs)), list(p.coeffs))
-        q2 = poly_mul(list(q.coeffs), list(q.coeffs))
+        p3 = poly_mul(poly_mul(fraction_coeffs(p), fraction_coeffs(p)), fraction_coeffs(p))
+        q2 = poly_mul(fraction_coeffs(q), fraction_coeffs(q))
         p3 += [Fraction(0)] * (12 * k + 1 - len(p3))
         q2 += [Fraction(0)] * (12 * k + 1 - len(q2))
-        assert delta.coeffs == tuple(4 * a + 27 * b for a, b in zip(p3, q2))
+        assert fraction_coeffs(delta) == tuple(4 * a + 27 * b for a, b in zip(p3, q2))
 
 
 class TestRescaleNormalize:
@@ -248,8 +258,8 @@ class TestRescaleNormalize:
     def test_normalize_clears_denominators_and_is_idempotent(self):
         t = WeierstrassTriple(1, Fraction(1, 2) * V ** 4, Fraction(1, 2) * V ** 6)
         n = normalize(t)
-        assert all(c.denominator == 1 for c in n.p.coeffs)
-        assert all(c.denominator == 1 for c in n.q.coeffs)
+        assert all(c.denominator == 1 for c in fraction_coeffs(n.p))
+        assert all(c.denominator == 1 for c in fraction_coeffs(n.q))
         assert normalize(n) == n
 
     def test_normalize_on_valid_triple(self):
@@ -262,7 +272,7 @@ class TestRescaleNormalize:
         for _ in range(10):
             t = random_valid_triple(rng, 1, height=9)
             n = normalize(rescale(t, Fraction(6, 5)))
-            coeffs = list(n.p.coeffs) + list(n.q.coeffs)
+            coeffs = fraction_coeffs(n.p) + fraction_coeffs(n.q)
             assert all(c.denominator == 1 for c in coeffs)
             if n.p.is_zero or n.q.is_zero:
                 continue
