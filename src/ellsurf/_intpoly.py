@@ -26,6 +26,17 @@ pseudo-remainders with a positive multiplier (Collins; Brown & Traub).
 Every rescaling is by a positive integer, so the primitive remainders
 and the quotients equal those of division over Q.
 
+Rational roots are p-adic (Loos 1983): Newton lifting of the roots of
+f mod a small prime p, then rational reconstruction.  A prime is
+dropped at its first residue where f' vanishes too, since only
+simple roots mod p lift uniquely.  Each lift stops at the first level
+whose reconstructed candidate, seen at the level before as well,
+divides f exactly; the height that proves every root, 2 C^2 for
+C = max(|lc f|, |f(0)|), is reached only by lifts that meet no root
+on the way.  The answer is the same as with every lift at full
+height: exact division admits only roots, and a residue mod p holds
+at most one root, since its roots are simple.
+
 Isolation takes what rational_roots leaves: squarefree, primitive,
 lc > 0 and without a rational root.  Every root it meets is therefore
 irrational and comes back as an open interval; a rational root hit
@@ -321,17 +332,39 @@ def _eval_mod(f: IntPoly, x: int, m: int) -> int:
     return total
 
 
+def _reconstruct(r: int, m: int, bound: int) -> tuple:
+    """(a, b) with a = b r mod m, |a| <= bound and b > 0, by half-extended Euclid.
+
+    When some fraction with |a|, b <= bound and 2 bound^2 < m is
+    congruent to r, this is it; b > bound says that none is.
+    """
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (-r1, -t1) if t1 < 0 else (r1, t1)
+
+
 def rational_roots(f: IntPoly) -> tuple:
     """(roots, rest): the rational roots of a squarefree integer f, ascending,
     and f divided by their linear factors, found without factoring.
 
-    p-adic expansion (Loos 1983): take a prime p not dividing lc f at
-    which every root of f mod p is simple, Newton-lift each such root
-    until p^m > 2 C^2 with C = max(|lc f|, |f(0)|), rebuild a/b by
-    half-extended Euclid and keep it only when b u - a divides f
-    exactly.  A root a/b in lowest terms has |a| <= |f(0)| and
-    0 < b <= |lc f|, so it reduces to one of the lifted roots and is the
-    unique fraction with |a|, b <= C in that residue class mod p^m.
+    p-adic expansion (Loos 1983): take the least prime p not dividing
+    lc f at which every root of f mod p is simple, dropping a prime at
+    its first residue where f' vanishes too, and Newton-lift each
+    residue mod m = p, p^2, p^4, ...  A root a/b in lowest terms has
+    |a| <= |f(0)| and 0 < b <= |lc f|, so it reduces to one of the
+    residues, and once m > 2 C^2, C = max(|lc f|, |f(0)|), it is the
+    unique fraction with |a|, b <= C in the lifted class: half-extended
+    Euclid rebuilds it there, and it is kept when b u - a divides f
+    exactly.  Most roots are far smaller than C, so every level below
+    that height rebuilds the fraction with |a|, b <= isqrt(m // 2) as
+    well, and tries it by exact division once it came out at the level
+    before too and b | lc f and a | f(0); a success ends the lift.  The
+    result is that of lifting every residue to full height: only roots
+    divide, a residue holds at most one root since the roots mod p are
+    simple, and a residue whose root was not met early reaches the
+    full-height test.
     rest is primitive with lc > 0 (constant when every root is rational).
     """
     rest = monic_sign(f)
@@ -342,30 +375,38 @@ def rational_roots(f: IntPoly) -> tuple:
     if degree(rest) < 1:
         return out, rest
     f, df = rest, derivative(rest)
+    lc, f0 = f[-1], f[0]
     p = 1
     while True:
         p += 1
-        if any(p % d == 0 for d in range(2, isqrt(p) + 1)) or f[-1] % p == 0:
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)) or lc % p == 0:
             continue
-        residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
-        if all(_eval_mod(df, r, p) for r in residues):
+        residues = []
+        for r in range(p):
+            if _eval_mod(f, r, p) == 0:
+                if _eval_mod(df, r, p) == 0:
+                    break
+                residues.append(r)
+        else:
             break
-    c = max(f[-1], abs(f[0]))
+    c = max(lc, abs(f0))
     for r in residues:
-        m = p
-        while m <= 2 * c * c:
+        m, seen = p, None
+        while True:
+            full = m > 2 * c * c
+            bound = c if full else isqrt(m // 2)
+            a, b = _reconstruct(r, m, bound)
+            if b <= bound and (full or ((a, b) == seen and a and lc % b == 0 and f0 % a == 0)):
+                quotient = try_div_exact(rest, [-a, b])
+                if quotient is not None:
+                    out.append(Fraction(a, b))
+                    rest = quotient
+                    break
+            if full:
+                break
+            seen = (a, b)
             m *= m
             r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
-        r0, r1, t0, t1 = m, r, 0, 1
-        while r1 > c:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        quotient = try_div_exact(rest, [-r1, t1]) if t1 <= c else None
-        if quotient is not None:
-            out.append(Fraction(r1, t1))
-            rest = quotient
     return sorted(out), rest
 
 
@@ -496,7 +537,7 @@ def _positive_root_shift(d: IntPoly) -> int:
     return 1 << -worst if worst <= 0 else 0
 
 
-def _positive_roots_cf(d: IntPoly) -> list:
+def _positive_roots_cf(d: IntPoly, sign: int = 1) -> list:
     """Isolating intervals of the positive roots of f, f given by descending d.
 
     f must be squarefree with f(0) != 0.  Continued-fraction method
@@ -508,7 +549,8 @@ def _positive_roots_cf(d: IntPoly) -> list:
     variation is output as (b/e, a/c), with None for a/c when c = 0; the
     others shift by the LMQ bound, then by doubled steps that keep their
     variations, and split into x + 1 and 1 / (1 + x).  A rational root
-    met as the image of a shift raises ValueError.
+    met as the image of a shift raises ValueError, which names it as
+    sign times that image: pass sign = -1 when d is s(-x).
     """
     out = []
     k = _sign_variations(d)
@@ -523,7 +565,7 @@ def _positive_roots_cf(d: IntPoly) -> list:
         while shift and k > 1:
             g = _taylor_shift(f, shift)
             if not g[-1]:
-                root = Fraction(a * shift + b, c * shift + e)
+                root = sign * Fraction(a * shift + b, c * shift + e)
                 raise ValueError(f"rational root {root}: divide the rational roots out first")
             variations = _sign_variations(g)
             # the first step is the bound; each doubled one must keep the k
@@ -539,7 +581,7 @@ def _positive_roots_cf(d: IntPoly) -> list:
             continue
         f1 = _taylor_shift(f, 1)
         if not f1[-1]:
-            root = Fraction(a + b, c + e)
+            root = sign * Fraction(a + b, c + e)
             raise ValueError(f"rational root {root}: divide the rational roots out first")
         k1 = _sign_variations(f1)
         # the variations of f are at least those of its two halves, with even excess
@@ -588,7 +630,7 @@ def isolate_real_roots(s: IntPoly) -> list:
     b = cauchy_bound(s)
     d = s[::-1]
     mirrored = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(d)]  # s(-x)
-    roots = [[-b if hi is None else -hi, -lo] for lo, hi in _positive_roots_cf(mirrored)]
+    roots = [[-b if hi is None else -hi, -lo] for lo, hi in _positive_roots_cf(mirrored, -1)]
     roots.sort()
     roots += sorted([lo, b if hi is None else hi] for lo, hi in _positive_roots_cf(d))
     count = len(roots)
@@ -627,8 +669,11 @@ def variations_in(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
     disc with diameter (lo, hi) holds no complex root (the one-circle
     theorem).  With lo = p / D and hi = q / D the map is one scaling by
     D, a Taylor shift by q, the reversal with the factors (p - q)^m, and
-    a Taylor shift by 1.
+    a Taylor shift by 1.  The zero polynomial, whose roots no count
+    bounds, raises ValueError.
     """
+    if not f:
+        raise ValueError("zero polynomial")
     den = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
     p, q = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     d = list(reversed(f))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from .binform import BinForm, coefficient_strings
 from .roots import AlgebraicPoint, CirclePoint, FinitePoint, InfinityPoint
 from .topology import (
@@ -38,8 +39,8 @@ class DocumentError(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Read "n" or "n/d": an optional sign, ASCII digits, a positive denominator."""
+def _rational_pair(text: str) -> tuple:
+    """(num, den) of "n" or "n/d", den > 0 and not reduced: what parse_rational accepts."""
     s = str(text).strip()
     m = _RATIONAL.fullmatch(s)
     if m is None:
@@ -50,7 +51,19 @@ def parse_rational(text: str) -> Fraction:
         raise DocumentError(f"not an exact rational: {s!r}") from exc
     if den == 0:
         raise DocumentError(f"zero denominator in {s!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read "n" or "n/d": an optional sign, ASCII digits, a positive denominator."""
+    return Fraction(*_rational_pair(text))
+
+
+def _form_from_strings(degree: int, texts: list) -> BinForm:
+    """The form with the given degree + 1 coefficient strings, read as integer pairs."""
+    pairs = [_rational_pair(c) for c in texts]
+    den = lcm(*(d for _, d in pairs))
+    return BinForm._normal(degree, [n * (den // d) for n, d in pairs], den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -84,8 +97,8 @@ def triple_from_document(doc: dict) -> WeierstrassTriple:
         raise DocumentError(f"p must be a list of {4 * k + 1} rationals")
     if not isinstance(q_list, list) or len(q_list) != 6 * k + 1:
         raise DocumentError(f"q must be a list of {6 * k + 1} rationals")
-    p = BinForm.make(4 * k, [parse_rational(c) for c in p_list])
-    q = BinForm.make(6 * k, [parse_rational(c) for c in q_list])
+    p = _form_from_strings(4 * k, p_list)
+    q = _form_from_strings(6 * k, q_list)
     return validate(k, p, q)
 
 

@@ -104,6 +104,25 @@ class TestTripleDocuments:
         assert calls == []
         assert triple_from_document(doc) == t
 
+    def test_triple_from_document_builds_no_fraction(self):
+        t = _seeded_k4_triple()
+        doc = triple_to_document(t)
+        back, calls = fraction_calls(lambda: triple_from_document(doc))
+        assert "__new__" not in calls
+        assert back == t
+
+    def test_coefficients_need_not_be_in_lowest_terms(self):
+        t = _seeded_k4_triple()
+        doc = triple_to_document(t)
+        unreduced = {"k": t.k, "p": [_unreduced(c, 3) for c in doc["p"]], "q": [_unreduced(c, 7) for c in doc["q"]]}
+        assert triple_from_document(unreduced) == t
+
+
+def _unreduced(text, m):
+    """Write "n" or "n/d" as "(m n)/(m d)"."""
+    num, _, den = text.partition("/")
+    return f"{m * int(num)}/{m * int(den or 1)}"
+
 
 class TestFiberDocuments:
     def test_classified_fibers_are_written_without_building_fractions(self, w1):

@@ -1,7 +1,8 @@
 """The fraction-free integer kernel checked against sympy's polynomial arithmetic."""
 
+import linecache
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 import sympy
@@ -142,17 +143,8 @@ rational_roots_drawn = st.lists(
 )
 
 
-@given(
-    rational_roots_drawn,
-    st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(ip.strip).filter(bool),
-    st.sampled_from([1, 2, 360, 10 ** 12 + 39]),
-    st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zero):
-    f = cofactor[:-1] + [cofactor[-1] * lead]
-    for r in roots + ([Fraction(0)] if at_zero else []):
-        f = poly_mul(f, [-r.numerator, r.denominator])
+def _check_rational_roots_against_sympy(f):
+    """rational_roots of the squarefree part of f: sympy's linear factors, and a rest that completes them."""
     s = ip.squarefree_part(f)
     _, factors = _poly(s).factor_list()
     expected = sorted(
@@ -167,16 +159,124 @@ def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zer
     assert _poly(poly_mul(product, rest)) == _poly(ip.monic_sign(s))
 
 
+@given(
+    rational_roots_drawn,
+    st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(ip.strip).filter(bool),
+    st.sampled_from([1, 2, 360, 10 ** 12 + 39]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_sympy_linear_factors(roots, cofactor, lead, at_zero):
+    f = cofactor[:-1] + [cofactor[-1] * lead]
+    for r in roots + ([Fraction(0)] if at_zero else []):
+        f = poly_mul(f, [-r.numerator, r.denominator])
+    _check_rational_roots_against_sympy(f)
+
+
+@st.composite
+def high_rational_roots(draw):
+    """Rational roots with numerators up to 10^40 and denominators dividing a lead,
+    times lead x^2 - d with real irrational roots and a small cofactor.
+
+    The residues of the irrational roots are lifted to the full bound,
+    and the large roots are rebuilt only at high levels.
+    """
+    lead = draw(st.sampled_from([1, 2, 360, 10 ** 12 + 39]))
+    denominators = sympy.divisors(lead)
+    roots = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40), st.sampled_from(denominators)),
+            max_size=5,
+        )
+    )
+    d = draw(st.integers(1, 10 ** 20).filter(lambda d: isqrt(lead * d) ** 2 != lead * d))
+    f = poly_mul([-d, 0, lead], draw(st.lists(st.integers(-30, 30), max_size=4).map(ip.strip)) or [1])
+    for r in roots:
+        f = poly_mul(f, [-r.numerator, r.denominator])
+    return f
+
+
+@given(high_rational_roots())
+@settings(max_examples=100, deadline=None)
+def test_rational_roots_of_large_height_match_sympy(f):
+    _check_rational_roots_against_sympy(f)
+
+
+def test_rational_roots_lift_each_root_only_as_far_as_it_needs(monkeypatch):
+    # roots 10, 20, ..., 160 beside x^2 - (2^200 + 1): f(0) has 298 bits,
+    # so the full height 2 C^2 takes 8 squarings of p = 23, which are 16
+    # evaluations per root when every root is lifted all the way
+    f = [-(2 ** 200 + 1), 0, 1]
+    for i in range(1, 17):
+        f = poly_mul(f, [-10 * i, 1])
+    moduli = []
+    evaluate = ip._eval_mod
+
+    def counting(g, x, m):
+        moduli.append(m)
+        return evaluate(g, x, m)
+
+    monkeypatch.setattr(ip, "_eval_mod", counting)
+    roots, rest = ip.rational_roots(f)
+    assert roots == [Fraction(10 * i) for i in range(1, 17)]
+    assert rest == [-(2 ** 200 + 1), 0, 1]
+    # each lifting step squares the modulus, from the prime p on
+    p = min(m for m in moduli if m * m in moduli)
+    assert sum(m > p for m in moduli) <= 8 * len(roots)
+
+
+def test_rational_root_close_to_a_false_candidate_is_found():
+    # r = 1 + (2 3 5 ... 47)^8 agrees with 1 to 8 p-adic digits at every
+    # prime the search can pick, so the low levels rebuild the candidate 1,
+    # which is no root: its exact division fails and the lift goes on
+    r = 1 + prod(sympy.primerange(2, 48)) ** 8
+    assert ip.rational_roots(poly_mul([-r, 1], [-2, 0, 1])) == ([Fraction(r)], [-2, 0, 1])
+
+
+def test_descartes_count_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        ip.variations_in([], Fraction(0), Fraction(1))
+
+
 def test_refinement_refuses_a_rational_root():
     # u^2 - 1 on (0, 2), negative at 0: the first midpoint is the root 1
     with pytest.raises(ValueError):
         ip.refine_interval([-1, 0, 1], Fraction(0), Fraction(2), -1)
 
 
+def _raise_site(excinfo):
+    """The function that raised and the condition guarding its raise statement."""
+    tb = excinfo.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    before = [linecache.getline(code.co_filename, n).strip() for n in (tb.tb_lineno - 1, tb.tb_lineno - 2)]
+    return code.co_name, next(line for line in before if line.startswith("if "))
+
+
 def test_isolation_refuses_a_rational_root():
-    # (x^2 - 1)(x^2 - 2): bisecting (-4, 4) reaches the root -1 as a midpoint
-    with pytest.raises(ValueError):
+    # (x^2 - 1)(x^2 - 2): on s(-x) the continued fractions split x + 1 at
+    # the root 1, which is -1 for s
+    with pytest.raises(ValueError, match="rational root -1: divide the rational roots out first") as excinfo:
         ip.isolate_real_roots([2, 0, -3, 0, 1])
+    assert _raise_site(excinfo) == ("_positive_roots_cf", "if not f1[-1]:")
+
+
+@pytest.mark.parametrize(
+    "s,root,site",
+    [
+        # (x + 14)(x^2 - 99): on s(-x) the shifts by 2, 4 and 8 end on the root 14
+        ([-1386, -99, 14, 1], "-14", ("_positive_roots_cf", "if not g[-1]:")),
+        # (2x + 3)(x^2 - 2x - 2): the continued fractions isolate -3/2 without
+        # meeting it, and bisecting (-6, 6) reaches it as a midpoint
+        ([-6, -10, -1, 2], "-3/2", ("isolate_real_roots", "if sign == 0:")),
+    ],
+    ids=["shift", "midpoint"],
+)
+def test_isolation_refuses_a_rational_root_met_by_a_shift_or_a_midpoint(s, root, site):
+    with pytest.raises(ValueError, match=f"rational root {root}: divide the rational roots out first") as excinfo:
+        ip.isolate_real_roots(s)
+    assert _raise_site(excinfo) == site
 
 
 @given(rational_roots_drawn, st.lists(st.integers(-30, 30), min_size=1, max_size=7))

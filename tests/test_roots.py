@@ -71,6 +71,20 @@ class TestIsolation:
         for p in order:
             assert isinstance(p, AlgebraicPoint)
 
+    def test_a_missed_rational_root_raises_instead_of_giving_intervals(self, monkeypatch):
+        # (x + 14)(x - 1)(x^2 - 99), with -14 left in the rest: the
+        # continued fractions meet it as the image of a shift
+        found = ip.rational_roots
+
+        def keeps_one(f):
+            roots, rest = found(f)
+            missed = roots.pop(0)
+            return roots, poly_mul(rest, [-missed.numerator, missed.denominator])
+
+        monkeypatch.setattr(ip, "rational_roots", keeps_one)
+        with pytest.raises(ValueError, match="rational root -14"):
+            rational_split(poly_mul(poly_mul([14, 1], [-1, 1]), [-99, 0, 1]))
+
     def test_multiplicities_collapsed(self):
         order = circle_roots((U - V) ** 5)
         assert [p.value for p in order] == [1]
