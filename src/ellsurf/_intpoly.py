@@ -419,17 +419,16 @@ def sturm_chain(f: IntPoly) -> list:
 
     Each remainder is negated and rescaled by a positive rational only,
     so the sign structure of the textbook chain is preserved exactly.
+    The chain of f itself is built first; only when it ends above
+    degree 0 (f is not squarefree) is it rebuilt from squarefree_part.
     """
-    f0 = squarefree_part(f)
-    chain = [f0, primitive(derivative(f0))]
-    if not chain[-1]:
-        chain.pop()
-        return chain
-    while True:
-        r = _pseudo_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(primitive(neg(r)))
+    chain = [monic_sign(f)]
+    r = derivative(chain[0])
+    while r:
+        chain.append(primitive(r))
+        r = neg(_pseudo_rem(chain[-2], chain[-1]))
+    if len(chain[-1]) != 1:
+        return sturm_chain(squarefree_part(f))
     return chain
 
 
@@ -531,6 +530,8 @@ def _positive_root_shift(d: IntPoly) -> int:
                 e = -((down - uses[j] - up) // (j - i))
                 if best is None or e < best:
                     best, used = e, j
+        if best > 0:
+            return 0  # worst >= best > 0
         uses[used] += 1
         if worst is None or best > worst:
             worst = best

@@ -113,11 +113,6 @@ class BinForm:
         n, m = u.numerator, u.denominator
         return Fraction(ip.eval_hom(self.num, n, m), self.den * m ** max(len(self.num) - 1, 0))
 
-    def value_at_infinity(self) -> Fraction:
-        """f(1, 0), the chart-2 value at the point at infinity."""
-        top = self.num[self.degree] if len(self.num) == self.degree + 1 else 0
-        return Fraction(top, self.den)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "BinForm") -> "BinForm":

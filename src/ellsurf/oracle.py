@@ -11,10 +11,13 @@ compact oval over the two lower roots.  At a nodal cut the fiber either
 keeps one circle with an extra isolated point (the oval family
 collapses) or degenerates to a wedge of two circles (the oval meets the
 branch).  At a rational cut the double root x0 and the simple root
-b = -2 x0 of the degenerate cubic are computed and compared exactly.  At
-an irrational cut the sign of x0 = -3q / 2p decides (p < 0 at a node is
-checked), which is the sign of q: the pipeline's own rule
-(topology._nodal_type_unchecked), so there the oracle is not independent.
+b = -2 x0 of the degenerate cubic are computed and compared exactly.  The
+irrational cuts lie on one defining form, which is checked once per
+surface to divide the discriminant 4p^3 + 27q^2, so each of them is a
+zero of it; with q != 0 there (checked per cut) that forces p < 0.  The
+sign of x0 = -3q / 2p then decides, which is the sign of q: the
+pipeline's own rule and kernel (topology._nodal_type_unchecked), so
+there the oracle is not independent.
 
 The pieces assemble into a cell complex: every fiber circle is a vertex
 plus a loop edge, an isolated point a bare vertex, a wedge a vertex with
@@ -34,7 +37,6 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import _intpoly as ip
-from .binform import BinForm
 from .roots import (
     INFINITY,
     AlgebraicPoint,
@@ -103,15 +105,21 @@ class _UnionFind:
 
 
 def _fiber_cubic_at(t: WeierstrassTriple, pt: CirclePoint) -> Tuple[int, ...]:
-    """Integer model of x^3 + p x + q over the point (chart 2 at infinity)."""
-    if isinstance(pt, InfinityPoint):
-        pval = t.p.value_at_infinity()
-        qval = t.q.value_at_infinity()
-    else:
-        assert isinstance(pt, FinitePoint)
-        pval = t.p.evaluate(pt.value)
-        qval = t.q.evaluate(pt.value)
-    return BinForm.from_affine(3, [qval, pval, 0, 1]).num
+    """Integer model of x^3 + p x + q over the point (chart 2 at infinity).
+
+    With p = pn / pd and q = qn / qd there (pd, qd > 0) it is the
+    primitive part of pd qd x^3 + pn qd x + qn pd.
+    """
+    vals = []
+    for f in (t.p, t.q):
+        if isinstance(pt, InfinityPoint):
+            # chart 2: the value at (1:0) is the top coefficient
+            vals += [f.num[-1] if len(f.num) > f.degree else 0, f.den]
+        else:
+            a, b = pt.value.numerator, pt.value.denominator
+            vals += [ip.eval_hom(f.num, a, b), f.den * b ** max(len(f.num) - 1, 0)]
+    pn, pd, qn, qd = vals
+    return tuple(ip.monic_sign([qn * pd, pn * qd, 0, pd * qd]))
 
 
 def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int]) -> FiberSlice:
@@ -133,10 +141,8 @@ def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int
 def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
     """Nodal fiber: decide collapse/join from the double-root geometry."""
     if isinstance(pt, AlgebraicPoint):
-        s_p = sign_at(t.p, pt)
+        # pt is a zero of Delta (oracle_topology checks its defining form)
         s_q = sign_at(t.q, pt)
-        if s_p != -1:
-            raise OracleDisagreement(f"p is not negative at the nodal cut {pt}")
         if s_q == 0:
             raise OracleDisagreement(f"q vanishes at the nodal cut {pt}")
         # x0 = -3q/2p has the sign of q (p < 0); the simple root is -2 x0,
@@ -144,17 +150,15 @@ def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
         pattern = "collapse" if s_q < 0 else "join"
     else:
         cubic = _fiber_cubic_at(t, pt)
-        dbl = ip.gcd(cubic, ip.derivative(cubic))
+        dbl = ip.prs_gcd(cubic, ip.derivative(cubic))
+        # a triple root (a cusp) gives a gcd of degree 2
         if ip.degree(dbl) != 1:
             raise OracleDisagreement(f"fiber at the cut {pt} is not nodal")
         x0 = Fraction(-dbl[0], dbl[1])
-        lin = [-x0.numerator, x0.denominator]
-        rest = ip.try_div_exact(ip.try_div_exact(cubic, lin), lin)
+        rest = ip.try_div_exact(ip.try_div_exact(cubic, dbl), dbl)
         assert rest is not None and ip.degree(rest) == 1
-        beta = Fraction(-rest[0], rest[1])
-        if x0 == beta:
-            raise OracleDisagreement(f"cusp at the cut {pt}: triple root")
-        pattern = "collapse" if x0 < beta else "join"
+        # the simple root differs from x0, or the gcd would have degree 2
+        pattern = "collapse" if x0 < Fraction(-rest[0], rest[1]) else "join"
     comps = ("cap", "circle") if pattern == "collapse" else ("wedge",)
     return FiberSlice(pt, "cut", comps, pattern)
 
@@ -183,8 +187,14 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     else:
         # circle order: each cut, then the sample of the arc after it
         slices = []
+        on_delta = set()  # defining forms of cuts seen to divide Delta
         for arc in arcs.arcs:
-            slices += [_cut_slice(t, arc.start), _sample_slice(t, arc.sample, counts)]
+            cut = arc.start
+            if isinstance(cut, AlgebraicPoint) and cut.defining not in on_delta:
+                if ip.try_div_exact(t.delta.num, cut.defining) is None:
+                    raise OracleDisagreement(f"the nodal cut {cut} is not a zero of the discriminant")
+                on_delta.add(cut.defining)
+            slices += [_cut_slice(t, cut), _sample_slice(t, arc.sample, counts)]
         if isinstance(arcs.points[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
             slices.insert(0, slices.pop())

@@ -191,11 +191,10 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
     if g.is_zero:
         return 0
     if isinstance(c, FinitePoint):
-        val = g.evaluate(c.value)
-        return (val > 0) - (val < 0)
+        return ip.eval_sign(g.num, c.value)
     if isinstance(c, InfinityPoint):
-        val = g.value_at_infinity()
-        return (val > 0) - (val < 0)
+        top = g.num[-1] if len(g.num) > g.degree else 0
+        return (top > 0) - (top < 0)
     assert isinstance(c, AlgebraicPoint)
     # with no root of g in (lo, hi) the sign is constant there; otherwise
     # either g vanishes at c, or refining c leaves its roots out

@@ -9,10 +9,19 @@ import pytest
 
 from ellsurf import BinForm, WeierstrassTriple, i0star_transform, make_params, validate
 from ellsurf import _intpoly as ip
-from ellsurf.roots import INFINITY, circle_sort_key_refine, rational_split
+from ellsurf.roots import INFINITY, AlgebraicPoint, circle_sort_key_refine, rational_split
 
 U = BinForm.make(1, [0, 1])
 V = BinForm.make(1, [1, 0])
+
+
+def off_delta(c):
+    """An irrational point c on its defining form times u^2 + 1: the same
+    real root and interval, on a form that does not divide the
+    discriminant the form came from.  Other points stay as they are."""
+    if not isinstance(c, AlgebraicPoint):
+        return c
+    return AlgebraicPoint(tuple(ip.mul(c.defining, [1, 0, 1])), c.lo, c.hi, c.lo_sign)
 
 
 def monomial(degree, i, c=1):

@@ -37,7 +37,6 @@ class TestArithmetic:
         f = interlace_sextic()
         assert f.evaluate(2) == 0
         assert f.evaluate(0) == -36
-        assert f.value_at_infinity() == 1  # leading u^6 coefficient
 
     def test_v_order_at_infinity(self):
         assert (V ** 4).v_order_at_infinity() == 4

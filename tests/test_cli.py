@@ -15,7 +15,7 @@ from ellsurf import BinForm, validate
 from ellsurf.cli import main
 from ellsurf.documents import dump_json, triple_to_document
 
-from conftest import U, V, monomial
+from conftest import U, V, monomial, off_delta
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
@@ -41,17 +41,12 @@ def _flip_cuts(monkeypatch, flip):
     monkeypatch.setattr(ellsurf.oracle, "_cut_slice", flipping)
 
 
-def _flip_sign_of_p(monkeypatch, k):
-    """Make the oracle read the opposite sign of p, the form of degree 4k."""
-    import ellsurf.oracle
+def _cuts_off_delta(monkeypatch):
+    """Make the pipeline hand on every irrational cut off_delta."""
+    import ellsurf.topology
 
-    sign_at = ellsurf.oracle.sign_at
-
-    def flipping(g, c):
-        s = sign_at(g, c)
-        return -s if g.degree == 4 * k else s
-
-    monkeypatch.setattr(ellsurf.oracle, "sign_at", flipping)
+    real_cuts = ellsurf.topology.real_cuts
+    monkeypatch.setattr(ellsurf.topology, "real_cuts", lambda reports: [off_delta(c) for c in real_cuts(reports)])
 
 
 @pytest.fixture()
@@ -254,13 +249,14 @@ class TestTransformCommand:
         assert "twist_duality: VIOLATED" in result.output
 
     def test_twist_verify_reports_an_oracle_refusal(self, runner, monkeypatch):
-        _flip_sign_of_p(monkeypatch, 2)
+        _cuts_off_delta(monkeypatch)
         result = runner.invoke(
             main, ["transform", str(GOLDEN / "random-k2.triple.json"), "--twist", "--verify"]
         )
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
-        assert "\n  twist_duality: VIOLATED oracle refused: p is not negative at the nodal cut " in result.output
+        assert "\n  twist_duality: VIOLATED oracle refused: the nodal cut root of " in result.output
+        assert " is not a zero of the discriminant\n" in result.output
 
     def test_twist_verify_never_normalizes(self, runner, monkeypatch):
         import ellsurf.cli
@@ -355,16 +351,17 @@ class TestFuzzCommand:
         assert '"violating_triple": {' in result.output
 
     def test_oracle_refusal_is_a_violation(self, runner, monkeypatch):
-        # p read as positive: the oracle refuses every irrational cut
-        _flip_sign_of_p(monkeypatch, 1)
+        # every irrational cut handed on off Delta: the oracle refuses each surface that has one
+        _cuts_off_delta(monkeypatch)
         result = runner.invoke(
             main, ["fuzz", "--k", "1", "--trials", "10", "--oracle-every", "1"]
         )
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
         lines = [line for line in result.output.splitlines() if line.startswith("VIOLATION")]
-        refusal = "VIOLATION[oracle]: p is not negative at the nodal cut root of "
+        refusal = "VIOLATION[oracle]: the nodal cut root of "
         assert lines and all(line.startswith(refusal) for line in lines), lines
+        assert all(line.endswith(" is not a zero of the discriminant") for line in lines), lines
         assert result.output.count('"violating_triple": {') == len(lines)
 
     def test_euler_sum_mismatch_is_a_violation(self, runner, monkeypatch):
@@ -574,11 +571,12 @@ class TestOracleCheckCommand:
         )
 
     def test_refusal_exits_1(self, runner, monkeypatch):
-        _flip_sign_of_p(monkeypatch, 2)
+        _cuts_off_delta(monkeypatch)
         result = runner.invoke(main, ["oracle-check", str(GOLDEN / "random-k2.triple.json")])
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
-        assert result.output.startswith("DISAGREEMENT: p is not negative at the nodal cut root of ")
+        assert result.output.startswith("DISAGREEMENT: the nodal cut root of ")
+        assert result.output.endswith(" is not a zero of the discriminant\n")
 
     def test_non_nodal_fiber_is_not_applicable(self, runner):
         path = str(GOLDEN / "istar-refusal.triple.json")

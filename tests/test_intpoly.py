@@ -1,6 +1,7 @@
 """The fraction-free integer kernel checked against sympy's polynomial arithmetic."""
 
 import linecache
+import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -125,6 +126,58 @@ def test_sturm_chain_entries_are_positive_multiples_of_sympy(a, b):
         ratio = Fraction(mine[-1]) / ref[-1]
         assert ratio > 0
         assert all(Fraction(m) == ratio * r for m, r in zip(mine, ref))
+
+
+def test_sturm_chain_takes_the_squarefree_part_only_when_it_must(monkeypatch):
+    calls = []
+    squarefree_part = ip.squarefree_part
+
+    def counting(f):
+        calls.append(f)
+        return squarefree_part(f)
+
+    monkeypatch.setattr(ip, "squarefree_part", counting)
+    rng = random.Random(5)
+    seen = 0
+    while seen < 100:
+        f = ip.strip([rng.randint(-30, 30) for _ in range(rng.randint(2, 8))])
+        if ip.degree(f) < 1 or ip.degree(ip.gcd(f, ip.derivative(f))) > 0:
+            continue
+        assert ip.sturm_chain(f)[0] == ip.monic_sign(f)
+        assert ip.sturm_chain(poly_mul(f, f))[0] == ip.monic_sign(f)
+        assert len(calls) == 1, calls  # the square only
+        calls.clear()
+        seen += 1
+
+
+def _lmq_shift(d):
+    """The LMQ rule of _positive_root_shift, written out in full: every
+    negative coefficient is paired, and the largest exponent decides."""
+    a = d if d[-1] > 0 else [-c for c in d]
+    uses = {j: 1 for j, c in enumerate(a) if c > 0}
+    exponents = []
+    for i, c in enumerate(a):
+        if c < 0:
+            e, j = min(
+                (-((b.bit_length() - 1 - uses[j] - (-c - 1).bit_length()) // (j - i)), j)
+                for j, b in enumerate(a)
+                if j > i and b > 0
+            )
+            uses[j] += 1
+            exponents.append(e)
+    worst = max(exponents)
+    return 1 << -worst if worst <= 0 else 0
+
+
+shift_inputs = st.lists(
+    st.one_of(st.integers(-40, 40), st.integers(-(2 ** 80), 2 ** 80)), min_size=2, max_size=10
+).filter(lambda d: d[-1] != 0 and any(c > 0 for c in d) and any(c < 0 for c in d))
+
+
+@given(shift_inputs)
+@settings(max_examples=300, deadline=None)
+def test_positive_root_shift_is_the_full_lmq_rule(d):
+    assert ip._positive_root_shift(d) == _lmq_shift(d)
 
 
 @given(polys, nonzero)

@@ -6,6 +6,7 @@ positive): the oracle never uses them, so exact agreement on a varied
 corpus validates both.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -28,10 +30,14 @@ from ellsurf import (
 )
 from ellsurf import _intpoly as ip
 from ellsurf import oracle
-from ellsurf.documents import triple_from_document
+from ellsurf.documents import load_triple, triple_from_document
 from ellsurf.fuzz import random_valid_triple
+from ellsurf.oracle import OracleDisagreement
+from ellsurf.roots import FinitePoint
 
-from conftest import U, V, fraction_coeffs, monomial
+from conftest import U, V, fraction_coeffs, monomial, off_delta
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestKnownSurfaces:
@@ -142,6 +148,97 @@ class TestVerdicts:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == "cell count disagrees with nodal patterns\n"
+
+
+def _moving_cuts(t, move):
+    """t with the pipeline's topology, each cut c handed on as move(c)."""
+    rep = t.topology
+    arcs = tuple(dataclasses.replace(a, start=move(a.start), end=move(a.end)) for a in rep.arcs.arcs)
+    dec = dataclasses.replace(rep.arcs, points=tuple(map(move, rep.arcs.points)), arcs=arcs)
+    t.__dict__["topology"] = dataclasses.replace(rep, arcs=dec)
+    return t
+
+
+def _handing_cuts(t, cuts, samples):
+    """t with a topology that hands the oracle these cuts, the arc after
+    cut i sampled at samples[i]: the only parts of it the oracle reads."""
+    arcs = [SimpleNamespace(start=c, sample=FinitePoint(Fraction(x))) for c, x in zip(cuts, samples)]
+    t.__dict__["topology"] = SimpleNamespace(
+        h0=1, h1=2, chi_top=0, arcs=SimpleNamespace(arcs=arcs, points=tuple(cuts))
+    )
+    return t
+
+
+class TestRefusals:
+    """Each refusal of a slice fires through compare on a faulty hand-over of cuts."""
+
+    def test_irrational_cuts_off_the_discriminant_are_refused(self):
+        t = _moving_cuts(load_triple(str(GOLDEN / "random-k2.triple.json")), off_delta)
+        with pytest.raises(OracleDisagreement, match=r"^the nodal cut root of .* is not a zero of the discriminant$"):
+            compare(t)
+
+    def test_irrational_cut_where_q_vanishes_is_refused(self):
+        # type II fibers at +-sqrt(2): zeros of Delta where p and q vanish
+        t = validate(1, (U * U - 2 * V * V) * (U * U + V * V), (U * U - 2 * V * V) * (U ** 4 + V ** 4))
+        cuts = [r.location for r in t.fibers if r.is_real]
+        assert [r.kodaira.symbol for r in t.fibers if r.is_real] == ["II", "II"]
+        _handing_cuts(t, cuts, [0, 5])
+        with pytest.raises(OracleDisagreement, match=r"^q vanishes at the nodal cut root of -2\*v\^2 \+ u\^2 in \(-3, 0\)$"):
+            compare(t)
+
+    def test_rational_cut_off_the_discriminant_is_refused(self):
+        w1 = load_triple(str(GOLDEN / "w1.triple.json"))
+        t = _moving_cuts(w1, lambda c: FinitePoint(Fraction(1001, 1000)) if c == FinitePoint(Fraction(1)) else c)
+        with pytest.raises(OracleDisagreement, match=r"^fiber at the cut 1001/1000 is not nodal$"):
+            compare(t)
+
+    def test_sample_on_a_zero_of_the_discriminant_is_refused(self):
+        # every arc of w1 sampled at its cut 1, where the cubic has a double root
+        t = load_triple(str(GOLDEN / "w1.triple.json"))
+        cuts = t.topology.arcs.points
+        _handing_cuts(t, cuts, [1] * len(cuts))
+        with pytest.raises(OracleDisagreement, match=r"^smooth real cubic with 2 real roots at 1; "):
+            compare(t)
+
+    def test_cusp_at_a_rational_cut_is_refused(self):
+        # type II fibers at -1 and 0: the fiber cubic is x^3, a triple root
+        t = validate(1, U * V ** 3 + U ** 4, U * V ** 5 + U ** 6)
+        cuts = [r.location for r in t.fibers if r.is_real]
+        assert cuts == [FinitePoint(Fraction(0)), FinitePoint(Fraction(-1))]
+        _handing_cuts(t, cuts, [Fraction(-1, 2), 1])
+        with pytest.raises(OracleDisagreement, match=r"^fiber at the cut 0 is not nodal$"):
+            compare(t)
+
+
+class TestFiberCubics:
+    @staticmethod
+    def _reference(t, pt):
+        """BinForm.from_affine(3, [q, p, 0, 1]).num from the Fraction values of p and q."""
+        if pt == INFINITY:
+            pv, qv = fraction_coeffs(t.p)[-1], fraction_coeffs(t.q)[-1]
+        else:
+            pv, qv = (sum(c * pt.value ** i for i, c in enumerate(fraction_coeffs(f))) for f in (t.p, t.q))
+        return BinForm.from_affine(3, [qv, pv, Fraction(0), Fraction(1)]).num
+
+    def test_integer_cubic_is_the_fraction_cubic(self):
+        surfaces = [load_triple(str(path)) for path in sorted(GOLDEN.glob("*.triple.json"))]
+        rng = random.Random(47)
+        surfaces += [random_valid_triple(rng, k) for k in (1, 2, 3, 4) for _ in range(4)]
+        rational_cuts = samples = 0
+        for t in surfaces:
+            points = [INFINITY, FinitePoint(Fraction(0)), FinitePoint(Fraction(-7, 3))]
+            try:
+                arcs = t.topology.arcs
+            except NotRealGeneric:
+                arcs = None
+            if arcs is not None:
+                cuts = [a.start for a in arcs.arcs if isinstance(a.start, FinitePoint)]
+                rational_cuts += len(cuts)
+                samples += len(arcs.arcs)
+                points += cuts + [a.sample for a in arcs.arcs]
+            for pt in points:
+                assert oracle._fiber_cubic_at(t, pt) == self._reference(t, pt), (t, pt)
+        assert rational_cuts >= 10 and samples >= 80
 
 
 class TestAgreement:
