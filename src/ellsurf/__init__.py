@@ -32,7 +32,6 @@ from .weierstrass import (
     validate,
 )
 from .topology import (
-    Arc,
     ArcDecomposition,
     BoundChecks,
     NotRealGeneric,
@@ -82,7 +81,6 @@ __all__ = [
     "classify_fibers",
     "normalize",
     "validate",
-    "Arc",
     "ArcDecomposition",
     "BoundChecks",
     "NotRealGeneric",

@@ -243,14 +243,14 @@ def search(k, components_, budget, seed, out):
     "VIOLATION: ..." when one fails an invariant (the same arguments
     rebuild it).
     """
+    if components_ < 1 or k < 1 or budget < 1:
+        click.echo("k, components and budget must be positive", err=True)
+        sys.exit(EXIT_INVALID)
     if components_ > 5 * k:
         click.echo(
             f"rejected: {components_} components exceeds the bound 5k = {5 * k}",
             err=True,
         )
-        sys.exit(EXIT_INVALID)
-    if components_ < 1 or k < 1 or budget < 1:
-        click.echo("k, components and budget must be positive", err=True)
         sys.exit(EXIT_INVALID)
     try:
         result = search_extremal(k, components_, SearchBudget(max_candidates=budget, rng_seed=seed))

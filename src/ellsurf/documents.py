@@ -161,6 +161,7 @@ def invariants_to_document(inv: SurfaceInvariants) -> dict:
 
 
 def arcs_to_document(dec: ArcDecomposition) -> dict:
+    n = len(dec.types)
     return {
         "singular_points": [
             {"point": point_to_document(p), "real_type": str(ty)}
@@ -168,11 +169,11 @@ def arcs_to_document(dec: ArcDecomposition) -> dict:
         ],
         "arcs": [
             {
-                "sample": format_rational(a.sample.value),
-                "components": a.component_count,
-                "endpoint_types": [str(a.start_type), str(a.end_type)],
+                "sample": format_rational(x.value),
+                "components": count,
+                "endpoint_types": [str(dec.types[i]), str(dec.types[(i + 1) % n])],
             }
-            for a in dec.arcs
+            for i, (x, count) in enumerate(zip(dec.samples, dec.circles))
         ],
         "arc_plus": dec.arc_plus,
         "arc_minus": dec.arc_minus,

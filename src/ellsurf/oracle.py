@@ -3,18 +3,18 @@
 The base circle is sliced at every real zero of the discriminant (the
 cuts) and at one rational sample inside every arc.  Where the cuts lie
 and which rational point samples each arc come from the pipeline
-(t.topology.arcs); every verdict below is computed here from the fiber
-cubics.  At a sample the fiber is a smooth real cubic whose real roots
-are counted exactly: one root gives a single circle through the section
-point at infinity (the "branch"), three roots give that branch plus a
-compact oval over the two lower roots.  At a nodal cut the fiber either
-keeps one circle with an extra isolated point (the oval family
-collapses) or degenerates to a wedge of two circles (the oval meets the
-branch).  At a rational cut the double root x0 and the simple root
-b = -2 x0 of the degenerate cubic are computed and compared exactly.  The
-irrational cuts lie on one defining form, which is checked once per
-surface to divide the discriminant 4p^3 + 27q^2, so each of them is a
-zero of it; with q != 0 there (checked per cut) that forces p < 0.  The
+(t.topology.arcs.points and .samples); every verdict below is computed
+here from the fiber cubics.  At a sample the fiber is a smooth real
+cubic whose real roots are counted exactly: one root gives a single
+circle through the section point at infinity (the "branch"), three
+roots give that branch plus a compact oval over the two lower roots.
+At a nodal cut the fiber either keeps one circle with an extra isolated
+point (the oval family collapses) or degenerates to a wedge of two
+circles (the oval meets the branch).  At a rational cut the double
+root x0 and the simple root b = -2 x0 of the degenerate cubic are
+computed and compared exactly.  The irrational cuts lie on one defining
+form, which is checked once per surface to divide the discriminant
+4p^3 + 27q^2, so each of them is a zero of it; with q != 0 there (checked per cut) that forces p < 0.  The
 sign of x0 = -3q / 2p then decides, which is the sign of q: the
 pipeline's own rule and kernel (topology._nodal_type_unchecked), so
 there the oracle is not independent.
@@ -169,12 +169,14 @@ _LOOPS = {"oval": 1, "branch": 1, "circle": 1, "cap": 0, "wedge": 2}
 def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()) -> OracleResult:
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
-    The ordered cuts and arc samples are those of t.topology.arcs (none
-    for a circle bundle); every slice is computed here.  extra_samples
-    inserts more rational slice points (they must not be zeros of the
-    discriminant); the output must not depend on them.  Only the tests
-    pass it: it is how they check that the oracle's answer does not
-    depend on the arc samples the pipeline chose.
+    The ordered cuts and arc samples are t.topology.arcs.points and
+    .samples (none for a circle bundle), the arc after cut i sampled at
+    samples[i]; a cut without its sample raises ValueError.  Every slice
+    is computed here.  extra_samples inserts more rational slice points
+    (they must not be zeros of the discriminant); the output must not
+    depend on them.  Only the tests pass it: it is how they check that
+    the oracle's answer does not depend on the arc samples the pipeline
+    chose.
     """
     arcs = t.topology.arcs
     # samples where (p, q) repeats share one fiber cubic and one root count
@@ -188,13 +190,12 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
         # circle order: each cut, then the sample of the arc after it
         slices = []
         on_delta = set()  # defining forms of cuts seen to divide Delta
-        for arc in arcs.arcs:
-            cut = arc.start
+        for cut, sample in zip(arcs.points, arcs.samples, strict=True):
             if isinstance(cut, AlgebraicPoint) and cut.defining not in on_delta:
                 if ip.try_div_exact(t.delta.num, cut.defining) is None:
                     raise OracleDisagreement(f"the nodal cut {cut} is not a zero of the discriminant")
                 on_delta.add(cut.defining)
-            slices += [_cut_slice(t, cut), _sample_slice(t, arc.sample, counts)]
+            slices += [_cut_slice(t, cut), _sample_slice(t, sample, counts)]
         if isinstance(arcs.points[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
             slices.insert(0, slices.pop())

@@ -14,6 +14,7 @@ infinity, wrapping back to -infinity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -38,7 +39,8 @@ class AlgebraicPoint:
     stripped; it has exactly one root in the open interval and the
     endpoints are not roots.  `lo_sign` is the sign of defining at lo,
     which every refinement keeps; it is evaluated when not given, and
-    two points are equal when (defining, lo, hi) are.
+    two points are equal when (defining, lo, hi) are.  The refinements
+    form one chain per point (`refined`), which every query walks.
     """
 
     defining: Tuple[int, ...]
@@ -52,8 +54,9 @@ class AlgebraicPoint:
         if not self.lo_sign:
             object.__setattr__(self, "lo_sign", ip.eval_sign(self.defining, self.lo))
 
+    @functools.cached_property
     def refined(self) -> "AlgebraicPoint":
-        """Halve the isolating interval (exact bisection step)."""
+        """The point with its interval halved (exact bisection step), built on first use and kept."""
         lo, hi = ip.refine_interval(self.defining, self.lo, self.hi, self.lo_sign)
         return AlgebraicPoint(self.defining, lo, hi, self.lo_sign)
 
@@ -67,7 +70,7 @@ class AlgebraicPoint:
         if pt.lo <= x <= pt.hi and ip.eval_sign(self.defining, x) == 0:
             raise ValueError(f"{x} is a rational root of {form_text(self.defining)} in the interval")
         while pt.lo <= x <= pt.hi:
-            pt = pt.refined()
+            pt = pt.refined
         return pt
 
     def __str__(self) -> str:
@@ -199,21 +202,19 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
     # with no root of g in (lo, hi) the sign is constant there; otherwise
     # either g vanishes at c, or refining c leaves its roots out
     ga = g.num
-    lo, hi = c.lo, c.hi
-    g_lo, g_hi = ip.eval_sign(ga, lo), ip.eval_sign(ga, hi)
-    if _may_vanish_in(ga, lo, hi, g_lo, g_hi):
-        s = c.defining
-        if _divisor_vanishes_in(ip.gcd(ga, s), lo, hi):
+    g_lo, g_hi = ip.eval_sign(ga, c.lo), ip.eval_sign(ga, c.hi)
+    if _may_vanish_in(ga, c.lo, c.hi, g_lo, g_hi):
+        if _divisor_vanishes_in(ip.gcd(ga, c.defining), c.lo, c.hi):
             return 0
         while True:
-            new_lo, new_hi = ip.refine_interval(s, lo, hi, c.lo_sign)
-            if new_lo == lo:
-                hi, g_hi = new_hi, ip.eval_sign(ga, new_hi)
+            prev, c = c, c.refined
+            if c.lo == prev.lo:
+                g_hi = ip.eval_sign(ga, c.hi)
             else:
-                lo, g_lo = new_lo, ip.eval_sign(ga, new_lo)
-            if not _may_vanish_in(ga, lo, hi, g_lo, g_hi):
+                g_lo = ip.eval_sign(ga, c.lo)
+            if not _may_vanish_in(ga, c.lo, c.hi, g_lo, g_hi):
                 break
-    return g_lo or g_hi or ip.eval_sign(ga, (lo + hi) / 2)
+    return g_lo or g_hi or ip.eval_sign(ga, (c.lo + c.hi) / 2)
 
 
 def _divisor_vanishes_in(f: list, lo: Fraction, hi: Fraction) -> bool:
@@ -295,8 +296,8 @@ def sample_between(left: CirclePoint, right: CirclePoint, wraps: bool = False) -
             return FinitePoint(simplest_between(lhi, rlo))
         refined = False
         if isinstance(lpt, AlgebraicPoint):
-            lpt, refined = lpt.refined(), True
+            lpt, refined = lpt.refined, True
         if isinstance(rpt, AlgebraicPoint):
-            rpt, refined = rpt.refined(), True
+            rpt, refined = rpt.refined, True
         if not refined:
             raise ValueError("arc endpoints are not in increasing order")

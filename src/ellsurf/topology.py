@@ -89,26 +89,37 @@ def smooth_fiber_components(t: WeierstrassTriple, c: CirclePoint) -> int:
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Open arc between consecutive real singular points (cyclically)."""
-
-    start: CirclePoint
-    end: CirclePoint
-    sample: FinitePoint
-    component_count: int
-    start_type: RealFiberType
-    end_type: RealFiberType
-
-
-@dataclass(frozen=True)
 class ArcDecomposition:
+    """The cuts in circle order with their nodal types, and the arcs.
+
+    Arc i runs from cut i to cut i + 1, cyclically; samples[i] is a
+    rational point inside it and circles[i] the circle count over it.
+    """
+
     points: Tuple[CirclePoint, ...]
     types: Tuple[RealFiberType, ...]
-    arcs: Tuple[Arc, ...]
-    arc_plus: int
-    arc_minus: int
-    n_plus: int
-    n_minus: int
+    samples: Tuple[FinitePoint, ...]
+    circles: Tuple[int, ...]
+
+    def _two_circle_arcs_between(self, ty: RealFiberType) -> int:
+        ends = zip(self.circles, self.types, self.types[1:] + self.types[:1])
+        return sum(1 for count, start, end in ends if count == 2 and start == ty == end)
+
+    @property
+    def arc_plus(self) -> int:
+        return self._two_circle_arcs_between(I1_PLUS)
+
+    @property
+    def arc_minus(self) -> int:
+        return self._two_circle_arcs_between(I1_MINUS)
+
+    @property
+    def n_plus(self) -> int:
+        return self.types.count(I1_PLUS)
+
+    @property
+    def n_minus(self) -> int:
+        return len(self.types) - self.n_plus
 
 
 def arc_decomposition(t: WeierstrassTriple) -> ArcDecomposition:
@@ -117,42 +128,17 @@ def arc_decomposition(t: WeierstrassTriple) -> ArcDecomposition:
     Requires at least one real singular fiber with every real zero of
     the discriminant simple; otherwise NotRealGeneric is raised.
     """
-    points = real_cuts(t.fibers)
+    points = tuple(real_cuts(t.fibers))
     if not points:
         raise NotRealGeneric([])
     types = tuple(_nodal_type_unchecked(t, c) for c in points)
-    n = len(points)
-    arcs: List[Arc] = []
-    for i, sample in enumerate(arc_samples(points)):
-        j = (i + 1) % n
-        count = smooth_fiber_components(t, sample)
-        arcs.append(Arc(points[i], points[j], sample, count, types[i], types[j]))
-    for i in range(n):
-        if arcs[i].component_count == arcs[(i + 1) % n].component_count:
-            raise AssertionError(
-                "circle count fails to alternate across a simple discriminant zero"
-            )
-    arc_plus = sum(
-        1
-        for a in arcs
-        if a.component_count == 2 and a.start_type == I1_PLUS and a.end_type == I1_PLUS
-    )
-    arc_minus = sum(
-        1
-        for a in arcs
-        if a.component_count == 2 and a.start_type == I1_MINUS and a.end_type == I1_MINUS
-    )
-    n_plus = sum(1 for ty in types if ty == I1_PLUS)
-    n_minus = len(types) - n_plus
-    return ArcDecomposition(
-        points=tuple(points),
-        types=types,
-        arcs=tuple(arcs),
-        arc_plus=arc_plus,
-        arc_minus=arc_minus,
-        n_plus=n_plus,
-        n_minus=n_minus,
-    )
+    samples = tuple(arc_samples(points))
+    circles = tuple(smooth_fiber_components(t, x) for x in samples)
+    if any(a == b for a, b in zip(circles, circles[1:] + circles[:1])):
+        raise AssertionError(
+            "circle count fails to alternate across a simple discriminant zero"
+        )
+    return ArcDecomposition(points, types, samples, circles)
 
 
 def real_cuts(reports: Sequence[FiberReport]) -> List[CirclePoint]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ellsurf import BinForm, validate
+from ellsurf import BinForm, NotRealGeneric, WeierstrassError, validate
 from ellsurf.cli import main
 from ellsurf.documents import dump_json, triple_to_document
 
@@ -462,12 +462,43 @@ class TestSearchCommand:
         assert "bound" in result.output
 
     @pytest.mark.parametrize(
-        "args", [["--components", "0"], ["--budget", "0"], ["--budget", "-1"]]
+        "args",
+        [
+            ["--components", "0"],
+            ["--budget", "0"],
+            ["--budget", "-1"],
+            # checked before the bound 5k, which would read 0 and -5
+            ["--k", "0"],
+            ["--k", "-1", "--components", "2"],
+        ],
     )
     def test_parameters_out_of_range(self, runner, args):
         result = runner.invoke(main, ["search", "--components", "1", *args])
         assert result.exit_code == 2, result.output
-        assert "must be positive" in result.output
+        assert result.output == "k, components and budget must be positive\n"
+
+    @pytest.mark.parametrize(
+        "target, refusal",
+        [
+            ("ellsurf.transforms.validate", lambda: WeierstrassError("refused")),
+            ("ellsurf.topology.real_cuts", lambda: NotRealGeneric([])),
+        ],
+        ids=["validate", "real_cuts"],
+    )
+    def test_no_candidate_passing_is_not_found(self, runner, monkeypatch, target, refusal):
+        # every candidate refused as it is built, or as not real-generic; the
+        # budget is the whole ladder of all four offsets, 191 rungs each
+        refused = []
+
+        def refuse(*args):
+            refused.append(args)
+            raise refusal()
+
+        monkeypatch.setattr(target, refuse)
+        result = runner.invoke(main, ["search", "--k", "1", "--components", "2", "--budget", "764"])
+        assert result.exit_code == 1, result.output
+        assert result.output == "not found: no candidate passed verification (tried 764)\n"
+        assert refused
 
     def test_one_component_at_k2(self, runner):
         result = runner.invoke(main, ["search", "--k", "2", "--components", "1"])

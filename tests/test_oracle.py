@@ -40,6 +40,13 @@ from conftest import U, V, fraction_coeffs, monomial, off_delta
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _golden_and_seeded():
+    """The golden triples, then 16 seeded random ones at k = 1..4."""
+    surfaces = [load_triple(str(path)) for path in sorted(GOLDEN.glob("*.triple.json"))]
+    rng = random.Random(47)
+    return surfaces + [random_valid_triple(rng, k) for k in (1, 2, 3, 4) for _ in range(4)]
+
+
 class TestKnownSurfaces:
     def test_w1(self, w1):
         res = oracle_topology(w1)
@@ -66,8 +73,7 @@ class TestKnownSurfaces:
 
         dec = arc_decomposition(t)
         assert len(dec.points) == 2
-        wrap_arc = dec.arcs[-1]
-        assert wrap_arc.component_count == 2
+        assert dec.circles[-1] == 2
         assert dec.arc_minus == 1 and dec.arc_plus == 0
         rep = betti(t)
         assert (rep.h0, rep.h1, rep.chi_top) == (1, 4, -2)
@@ -153,8 +159,7 @@ class TestVerdicts:
 def _moving_cuts(t, move):
     """t with the pipeline's topology, each cut c handed on as move(c)."""
     rep = t.topology
-    arcs = tuple(dataclasses.replace(a, start=move(a.start), end=move(a.end)) for a in rep.arcs.arcs)
-    dec = dataclasses.replace(rep.arcs, points=tuple(map(move, rep.arcs.points)), arcs=arcs)
+    dec = dataclasses.replace(rep.arcs, points=tuple(map(move, rep.arcs.points)))
     t.__dict__["topology"] = dataclasses.replace(rep, arcs=dec)
     return t
 
@@ -162,9 +167,9 @@ def _moving_cuts(t, move):
 def _handing_cuts(t, cuts, samples):
     """t with a topology that hands the oracle these cuts, the arc after
     cut i sampled at samples[i]: the only parts of it the oracle reads."""
-    arcs = [SimpleNamespace(start=c, sample=FinitePoint(Fraction(x))) for c, x in zip(cuts, samples)]
+    samples = tuple(FinitePoint(Fraction(x)) for x in samples)
     t.__dict__["topology"] = SimpleNamespace(
-        h0=1, h1=2, chi_top=0, arcs=SimpleNamespace(arcs=arcs, points=tuple(cuts))
+        h0=1, h1=2, chi_top=0, arcs=SimpleNamespace(points=tuple(cuts), samples=samples)
     )
     return t
 
@@ -200,6 +205,14 @@ class TestRefusals:
         with pytest.raises(OracleDisagreement, match=r"^smooth real cubic with 2 real roots at 1; "):
             compare(t)
 
+    def test_cut_without_a_sample_is_refused(self):
+        # one sample short: the oracle must not drop the last cut
+        t = load_triple(str(GOLDEN / "w1.triple.json"))
+        cuts = t.topology.arcs.points
+        _handing_cuts(t, cuts, [x.value for x in t.topology.arcs.samples[:-1]])
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+            compare(t)
+
     def test_cusp_at_a_rational_cut_is_refused(self):
         # type II fibers at -1 and 0: the fiber cubic is x^3, a triple root
         t = validate(1, U * V ** 3 + U ** 4, U * V ** 5 + U ** 6)
@@ -221,21 +234,18 @@ class TestFiberCubics:
         return BinForm.from_affine(3, [qv, pv, Fraction(0), Fraction(1)]).num
 
     def test_integer_cubic_is_the_fraction_cubic(self):
-        surfaces = [load_triple(str(path)) for path in sorted(GOLDEN.glob("*.triple.json"))]
-        rng = random.Random(47)
-        surfaces += [random_valid_triple(rng, k) for k in (1, 2, 3, 4) for _ in range(4)]
         rational_cuts = samples = 0
-        for t in surfaces:
+        for t in _golden_and_seeded():
             points = [INFINITY, FinitePoint(Fraction(0)), FinitePoint(Fraction(-7, 3))]
             try:
                 arcs = t.topology.arcs
             except NotRealGeneric:
                 arcs = None
             if arcs is not None:
-                cuts = [a.start for a in arcs.arcs if isinstance(a.start, FinitePoint)]
+                cuts = [c for c in arcs.points if isinstance(c, FinitePoint)]
                 rational_cuts += len(cuts)
-                samples += len(arcs.arcs)
-                points += cuts + [a.sample for a in arcs.arcs]
+                samples += len(arcs.samples)
+                points += cuts + list(arcs.samples)
             for pt in points:
                 assert oracle._fiber_cubic_at(t, pt) == self._reference(t, pt), (t, pt)
         assert rational_cuts >= 10 and samples >= 80
@@ -361,6 +371,32 @@ class TestSampleSlices:
 
 
 class TestWorkDoneOnce:
+    def test_queries_after_the_topology_take_no_refinement_step(self, monkeypatch):
+        # each cut is a node of its fiber point's refinement chain, which the
+        # pipeline already walked: the oracle's sign of q and the twist's
+        # types and samples (it shares the fibers) refine nothing further
+        steps = []
+        refine_interval = ip.refine_interval
+
+        def counting(*args):
+            steps.append(args)
+            return refine_interval(*args)
+
+        monkeypatch.setattr(ip, "refine_interval", counting)
+        real_generic = 0
+        for t in _golden_and_seeded():
+            try:
+                t.topology
+            except NotRealGeneric:
+                continue
+            real_generic += 1
+            steps.clear()
+            compare(t)
+            assert not steps, t
+            twist(t).topology
+            assert not steps, t
+        assert real_generic >= 30
+
     @pytest.mark.parametrize("name", ["w1", "fractional-coefficients", "random-k3"])
     def test_compare_builds_each_forms_sturm_chain_once(self, monkeypatch, name):
         # no form of the surface gets a Sturm chain: the pipeline isolates

@@ -218,12 +218,17 @@ class TestProperties:
             c = self._random_point(rng)
             assert sign_at(g * h, c) == sign_at(g, c) * sign_at(h, c)
 
+    def test_refinement_is_built_once(self):
+        pt = sqrt2_point()
+        assert pt.refined is pt.refined
+        assert pt.refined.refined is pt.refined.refined
+
     def test_refinement_never_changes_answers(self):
         rng = random.Random(7)
         pt = sqrt2_point()
         refined = pt
         for _ in range(12):
-            refined = refined.refined()
+            refined = refined.refined
         for _ in range(25):
             g = self._random_form(rng)
             assert sign_at(g, pt) == sign_at(g, refined)

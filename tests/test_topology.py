@@ -79,7 +79,7 @@ class TestArcDecomposition:
             "I1-", "I1+", "I1+", "I1-", "I1-", "I1+",
             "I1+", "I1-", "I1-", "I1+", "I1+", "I1-",
         ]
-        assert [a.component_count for a in dec.arcs] == [2, 1] * 6
+        assert dec.circles == (2, 1) * 6
         assert dec.arc_plus == 0 and dec.arc_minus == 0
 
     def test_alternation_and_even_count(self):
@@ -93,7 +93,7 @@ class TestArcDecomposition:
                 continue
             seen += 1
             assert len(dec.points) % 2 == 0
-            counts = [a.component_count for a in dec.arcs]
+            counts = dec.circles
             for i, c in enumerate(counts):
                 assert c != counts[(i + 1) % len(counts)]
 
