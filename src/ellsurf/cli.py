@@ -10,6 +10,7 @@ also exits 1 when it accepts no candidate; its stdout then starts with
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import click
@@ -147,12 +148,31 @@ def _print_text_report(doc: dict) -> None:
 def report(file, as_json):
     """Fiber table, arc decomposition, topology and bound verdicts."""
     t = _load_or_exit(file)
-    doc = _full_report_document(t)
-    if as_json:
-        click.echo(dump_json(doc), nl=False)
-    else:
-        _print_text_report(doc)
+    with _unlimited_int_strings():
+        doc = _full_report_document(t)
+        if as_json:
+            click.echo(dump_json(doc), nl=False)
+        else:
+            _print_text_report(doc)
     sys.exit(EXIT_OK)
+
+
+@contextlib.contextmanager
+def _unlimited_int_strings():
+    """Lift CPython's limit on int-to-string digits (since 3.10.7) inside.
+
+    Parsing keeps it, but a report's integers outgrow the input's: the
+    discriminant cubes p, and the cuts' defining forms divide it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _print_checks(ver) -> None:

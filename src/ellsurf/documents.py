@@ -39,18 +39,25 @@ class DocumentError(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def _shown(s: str) -> str:
+    """repr of s; an over-long s by its length and its first and last characters."""
+    if len(s) <= 60:
+        return repr(s)
+    return f"{s[:20]!r}...{s[-20:]!r} ({len(s)} characters)"
+
+
 def _rational_pair(text: str) -> tuple:
     """(num, den) of "n" or "n/d", den > 0 and not reduced: what parse_rational accepts."""
     s = str(text).strip()
     m = _RATIONAL.fullmatch(s)
     if m is None:
-        raise DocumentError(f"not an exact rational: {s!r}")
+        raise DocumentError(f"not an exact rational: {_shown(s)}")
     try:
         num, den = int(m.group(1)), int(m.group(2) or 1)
     except ValueError as exc:  # more digits than int() converts
-        raise DocumentError(f"not an exact rational: {s!r}") from exc
+        raise DocumentError(f"not an exact rational: {_shown(s)}") from exc
     if den == 0:
-        raise DocumentError(f"zero denominator in {s!r}")
+        raise DocumentError(f"zero denominator in {_shown(s)}")
     return num, den
 
 

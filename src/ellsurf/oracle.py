@@ -3,8 +3,10 @@
 The base circle is sliced at every real zero of the discriminant (the
 cuts) and at one rational sample inside every arc.  Where the cuts lie
 and which rational point samples each arc come from the pipeline
-(t.topology.arcs.points and .samples); every verdict below is computed
-here from the fiber cubics.  At a sample the fiber is a smooth real
+(t.topology.arcs.points and .samples); a circle bundle has no cuts
+and is sliced at 0 and at infinity.  Every verdict below is computed
+here from the fiber cubics, so the answer must not depend on which
+rational point samples an arc.  At a sample the fiber is a smooth real
 cubic whose real roots are counted exactly: one root gives a single
 circle through the section point at infinity (the "branch"), three
 roots give that branch plus a compact oval over the two lower roots.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from . import _intpoly as ip
 from .roots import (
@@ -43,7 +45,6 @@ from .roots import (
     CirclePoint,
     FinitePoint,
     InfinityPoint,
-    compare_with_rational,
     sign_at,
 )
 from .weierstrass import WeierstrassTriple
@@ -166,17 +167,15 @@ def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
 _LOOPS = {"oval": 1, "branch": 1, "circle": 1, "cap": 0, "wedge": 2}
 
 
-def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()) -> OracleResult:
+def oracle_topology(t: WeierstrassTriple) -> OracleResult:
     """(h0, h1, chi) of the real locus from the glued slice complex.
 
     The ordered cuts and arc samples are t.topology.arcs.points and
-    .samples (none for a circle bundle), the arc after cut i sampled at
-    samples[i]; a cut without its sample raises ValueError.  Every slice
-    is computed here.  extra_samples inserts more rational slice points
-    (they must not be zeros of the discriminant); the output must not
-    depend on them.  Only the tests pass it: it is how they check that
-    the oracle's answer does not depend on the arc samples the pipeline
-    chose.
+    .samples (none for a circle bundle, which is sliced at 0 and
+    infinity), the arc after cut i sampled at samples[i]; a cut without
+    its sample raises ValueError, so the slices alternate cut and
+    sample.  Every slice is computed here; the answer does not depend on
+    which rational point of an arc the pipeline chose.
     """
     arcs = t.topology.arcs
     # samples where (p, q) repeats share one fiber cubic and one root count
@@ -199,8 +198,6 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
         if isinstance(arcs.points[-1], InfinityPoint):
             # the arc after infinity is sampled below the first cut
             slices.insert(0, slices.pop())
-    for x in extra_samples:
-        _insert_sample(t, slices, Fraction(x), counts)
 
     uf = _UnionFind()
     V = E = F = 0
@@ -214,8 +211,6 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     for i in range(n):
         a = slices[i]
         b = slices[(i + 1) % n]
-        if a.kind == "cut" and b.kind == "cut":
-            raise OracleDisagreement("two adjacent cuts: an arc lost its sample")
         for (ca, cb) in _tube_matches(a, b):
             uf.union((i, ca), ((i + 1) % n, cb))
             E += 1
@@ -233,23 +228,6 @@ def oracle_topology(t: WeierstrassTriple, extra_samples: Sequence[Fraction] = ()
     if chi != collapses - joins:
         raise OracleDisagreement("cell count disagrees with nodal patterns")
     return OracleResult(h0, h1, chi, V, E, F, tuple(slices))
-
-
-def _insert_sample(
-    t: WeierstrassTriple, slices: List[FiberSlice], x: Fraction, counts: Dict[tuple, int]
-) -> None:
-    """Put a smooth slice at x into the circle-ordered slices, once."""
-    cand = FinitePoint(x)
-    for i, s in enumerate(slices):
-        order = -1 if isinstance(s.point, InfinityPoint) else -compare_with_rational(s.point, x)
-        if order == 0 and s.kind == "cut":
-            raise ValueError(f"extra sample {x} is a discriminant zero")
-        if order == 0:
-            return
-        if order < 0:
-            slices.insert(i, _sample_slice(t, cand, counts))
-            return
-    slices.append(_sample_slice(t, cand, counts))
 
 
 def _tube_matches(a: FiberSlice, b: FiberSlice) -> List[Tuple[int, int]]:

@@ -53,14 +53,15 @@ from .weierstrass import (
 def twist(t: WeierstrassTriple) -> WeierstrassTriple:
     """(p, q) -> (p, -q): same complex surface, conjugate real structure.
 
-    Delta = 4p^3 + 27q^2 is unchanged, and gcd(p, q), the Yun
-    decompositions (normalized to lc > 0) and the fiber reports do not
-    see the sign of q: the twisted triple takes over whichever of them
-    t has built.  Its topology, which does, is built anew.
+    Delta = 4p^3 + 27q^2 is unchanged, and the orders at the common
+    roots of p and q (pq_orders, from gcds and Yun decompositions
+    normalized to lc > 0) and the fiber reports do not see the sign of
+    q: the twisted triple takes over whichever of them t has built.
+    Its topology, which does, is built anew.
     """
     out = WeierstrassTriple(t.k, t.p, -t.q)
     # cached_property reads its value from the instance dict first
-    for name in ("delta", "pq_gcd", "p_yun", "q_yun", "fibers"):
+    for name in ("delta", "pq_orders", "fibers"):
         if name in t.__dict__:
             out.__dict__[name] = t.__dict__[name]
     return out
@@ -344,11 +345,10 @@ def search_extremal(k_target: int, h0_target: int, budget: SearchBudget) -> Sear
 
 def _floor_log2(x: Fraction) -> int:
     assert x > 0
+    # with a and b the bit lengths of x's terms, 2^(a-b-1) < x < 2^(a-b+1)
     e = x.numerator.bit_length() - x.denominator.bit_length()
-    while Fraction(2) ** e > x:
+    if Fraction(2) ** e > x:
         e -= 1
-    while Fraction(2) ** (e + 1) <= x:
-        e += 1
     return e
 
 

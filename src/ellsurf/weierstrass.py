@@ -60,23 +60,22 @@ class WeierstrassTriple:
         return 4 * self.p ** 3 + 27 * self.q ** 2
 
     @functools.cached_property
-    def pq_gcd(self) -> list:
-        """gcd(p, q) of the affine data (primitive, lc > 0), built on first use and kept.
+    def pq_orders(self) -> list:
+        """[(piece, v_p, v_q)]: the finite common roots of p and q, by their orders.
 
-        A zero form is the zero polynomial, so the gcd is then the other
-        form's data.
+        The squarefree part of gcd(p, q) cut by the Yun decompositions of
+        p, then of q (None for a zero form); empty, and neither form is
+        decomposed, when the gcd is constant.  Built on first use and kept.
         """
-        return ip.gcd(self.p.num, self.q.num)
-
-    @functools.cached_property
-    def p_yun(self) -> Optional[list]:
-        """Yun's decomposition of p's affine data, None for p = 0; built on first use and kept."""
-        return None if self.p.is_zero else ip.yun_decomposition(self.p.num)
-
-    @functools.cached_property
-    def q_yun(self) -> Optional[list]:
-        """Yun's decomposition of q's affine data, None for q = 0; built on first use and kept."""
-        return None if self.q.is_zero else ip.yun_decomposition(self.q.num)
+        shared = ip.gcd(self.p.num, self.q.num)
+        if ip.degree(shared) < 1:
+            return []
+        p_yun, q_yun = (None if f.is_zero else ip.yun_decomposition(f.num) for f in (self.p, self.q))
+        return [
+            (piece, v_p, v_q)
+            for piece_p, v_p in _split_by_order(ip.squarefree_part(shared), p_yun)
+            for piece, v_q in _split_by_order(piece_p, q_yun)
+        ]
 
     @functools.cached_property
     def fibers(self) -> Tuple[FiberReport, ...]:
@@ -98,8 +97,8 @@ class WeierstrassTriple:
 def validate(k: int, p: BinForm, q: BinForm) -> WeierstrassTriple:
     """Check degrees, nonzero discriminant and minimality; return the triple.
 
-    Minimality is read from gcd(p, q) and the Yun decompositions of p
-    and q, which the triple keeps for classification (_nonminimal_witness).
+    Minimality is read from pq_orders, the orders at the common roots of
+    p and q, which classification reads too (_nonminimal_witness).
     """
     if k < 1:
         raise WeierstrassError("k must be a positive integer")
@@ -121,26 +120,18 @@ def _nonminimal_witness(t: WeierstrassTriple):
 
     A point offends when p vanishes there to order >= 4 and q to order
     >= 6; a zero form imposes no condition.  Infinity is decided by the
-    v-orders and comes first.  A finite offender is a root of gcd(p, q),
-    so a constant gcd means minimal.  Otherwise, with P_i and Q_j the Yun
-    components of p and q, the finite offenders are the roots of
-    gcd(prod_{i>=4} P_i, prod_{j>=6} Q_j), which is squarefree; the
-    witness is its first rational root, else its rest without rational
-    roots (rational_split).
+    v-orders and comes first.  A finite offender is a common root of p
+    and q, so the finite offenders are the roots of the product of the
+    offending pieces of pq_orders, which is squarefree; the witness is
+    its first rational root, else its rest without rational roots
+    (rational_split).
     """
     if all(f.is_zero or f.v_order_at_infinity() >= m for f, m in ((t.p, 4), (t.q, 6))):
         return INFINITY
-    if ip.degree(t.pq_gcd) < 1:
-        return None
-    offenders = None
-    for yun, m in ((t.p_yun, 4), (t.q_yun, 6)):
-        if yun is None:
-            continue
-        high = [1]
-        for comp, i in yun:
-            if i >= m:
-                high = ip.mul(high, comp)
-        offenders = high if offenders is None else ip.gcd(offenders, high)
+    offenders = [1]
+    for piece, v_p, v_q in t.pq_orders:
+        if (v_p is None or v_p >= 4) and (v_q is None or v_q >= 6):
+            offenders = ip.mul(offenders, piece)
     if ip.degree(offenders) < 1:
         return None
     factor, pts = rational_split(offenders)[0]
@@ -390,21 +381,16 @@ def _strata(t: WeierstrassTriple) -> list:
     Every root of a piece has the same orders; None stands for a zero
     form.  v_Delta comes from Yun's decomposition of Delta.  Since
     Delta = 4p^3 + 27q^2, a root of Delta is a root of p exactly when it
-    is one of q, i.e. a root of gcd(p, q); the rest of each component
-    has v_p = v_q = 0.  The shared part is split by gcds with the Yun
-    components of p and then of q, which the triple keeps and which are
-    read only when some component shares a root with p and q.
+    is one of q, so each component meets the pieces of pq_orders in
+    roots with their orders; the rest of it has v_p = v_q = 0.
     """
-    shared = t.pq_gcd
     strata = []
     for g, v_delta in ip.yun_decomposition(t.delta.num):
-        if ip.degree(shared) >= 1:
-            common = ip.gcd(g, shared)
+        for piece, v_p, v_q in t.pq_orders:
+            common = ip.gcd(g, piece)
             if ip.degree(common) >= 1:
                 g = ip.try_div_exact(g, common)
-                for piece_p, v_p in _split_by_order(common, t.p_yun):
-                    for piece, v_q in _split_by_order(piece_p, t.q_yun):
-                        strata.append((piece, v_p, v_q, v_delta))
+                strata.append((common, v_p, v_q, v_delta))
         if ip.degree(g) >= 1:
             strata.append((g, 0, 0, v_delta))
     return strata

@@ -19,6 +19,7 @@ from conftest import U, V, monomial, off_delta
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
+HOSTILE = Path(__file__).resolve().parent / "hostile"
 
 
 def _flip_cuts(monkeypatch, flip):
@@ -219,6 +220,27 @@ class TestReportCommand:
         )
         assert out.returncode == 0, out.stderr
         assert out.stderr.splitlines()[-1] == "False"
+
+
+    def test_report_writes_integers_longer_than_parsing_accepts(self, runner):
+        # a 1,450-digit denominator of p gives defining forms of the cuts
+        # with over 4,300 digits, which str(int) refuses by default
+        path = str(HOSTILE / "long-denominator.triple.json")
+        script = "import sys\nfrom ellsurf.cli import main\nsys.argv[0] = 'ellsurf'\nmain()\n"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script, "report", path, "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert max(len(c) for pt in doc["arcs"]["singular_points"] for c in pt["point"].get("defining", [])) > 4300
+        # the limit is lifted only while the report is written
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert runner.invoke(main, ["report", path]).exit_code == 0
+        assert limit() == before
 
 
 class TestTransformCommand:

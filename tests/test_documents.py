@@ -53,6 +53,24 @@ class TestRationals:
         with pytest.raises(DocumentError):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("9" * 5000, id="integer"),
+            pytest.param("1/" + "7" * 5000, id="denominator"),
+            pytest.param("x" * 5000, id="garbage"),
+            pytest.param("1/" + "0" * 5000, id="zero-denominator"),
+        ],
+    )
+    def test_over_long_input_is_shown_shortened(self, text):
+        with pytest.raises(DocumentError, match=r" \(5\d{3} characters\)$") as exc:
+            parse_rational(text)
+        assert len(str(exc.value)) < 120
+
+    def test_short_input_is_shown_whole(self):
+        with pytest.raises(DocumentError, match=r"^not an exact rational: '1/-2'$"):
+            parse_rational("1/-2")
+
     def test_format_roundtrip(self):
         for x in (Fraction(3), Fraction(-1, 2), Fraction(0)):
             assert parse_rational(format_rational(x)) == x

@@ -33,8 +33,9 @@ from ellsurf import oracle
 from ellsurf.documents import load_triple, triple_from_document
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement
-from ellsurf.roots import FinitePoint
+from ellsurf.roots import FinitePoint, InfinityPoint, compare_with_rational, sample_between
 
+import digest
 from conftest import U, V, fraction_coeffs, monomial, off_delta
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,46 +91,56 @@ class TestKnownSurfaces:
             oracle_topology(t)
 
 
+def _second_samples(arcs):
+    """A second rational in each arc: between the pipeline's sample and the
+    next cut, or one step further out where the arc ends at or runs
+    through infinity."""
+    seconds = []
+    for i, sample in enumerate(arcs.samples):
+        nxt = arcs.points[(i + 1) % len(arcs.points)]
+        if isinstance(nxt, InfinityPoint) or compare_with_rational(nxt, sample.value) < 0:
+            seconds.append(sample.value + 1)
+        else:
+            seconds.append(sample_between(sample, nxt).value)
+    return seconds
+
+
 class TestRefinementInvariance:
-    def test_extra_samples_do_not_change_w1(self, w1):
-        base = oracle_topology(w1).triple()
-        extra = [Fraction(1, 7), Fraction(-9, 2), Fraction(99), Fraction(5, 2)]
-        assert oracle_topology(w1, extra_samples=extra).triple() == base
+    """The oracle's answer does not depend on the arc samples the pipeline chose."""
 
-    def test_extra_samples_on_bundle(self):
-        t = validate(1, BinForm.from_affine(4, []), V ** 6 + U ** 6)
-        base = oracle_topology(t).triple()
-        refined = oracle_topology(
-            t, extra_samples=[Fraction(n, 3) for n in range(-6, 7)]
-        ).triple()
-        assert refined == base
+    def test_second_sample_in_each_arc_changes_nothing(self):
+        surfaces = 0
+        for t in _golden_and_seeded():
+            try:
+                arcs = t.topology.arcs
+            except NotRealGeneric:
+                continue
+            if arcs is None:
+                continue
+            base = oracle_topology(t)
+            seconds = _second_samples(arcs)
+            assert all(b != s.value for b, s in zip(seconds, arcs.samples))
+            moved = oracle_topology(_handing_cuts(t, arcs.points, seconds))
+            assert moved.triple() == base.triple(), t
+            assert (moved.vertices, moved.edges, moved.faces) == (base.vertices, base.edges, base.faces), t
+            surfaces += 1
+        assert surfaces >= 20
 
-    def test_extra_sample_at_cut_rejected(self, w1):
-        with pytest.raises(ValueError):
-            oracle_topology(w1, extra_samples=[Fraction(1)])
-
-    def test_extra_samples_around_a_cut_at_infinity(self):
+    def test_second_sample_around_a_cut_at_infinity(self):
         # nodal fibers at one irrational point and at infinity: the arc after
         # infinity is sampled below the first cut, so its slice comes first
-        from ellsurf.roots import FinitePoint, compare_with_rational
-
         t = validate(
             1, BinForm.make(4, [-1, 2, 7, -9, -3]), BinForm.make(6, [5, -2, -8, -4, -6, 2, 2])
         )
         base = oracle_topology(t)
         assert [s.kind for s in base.slices] == ["sample", "cut", "sample", "cut"]
         assert base.slices[-1].point == INFINITY
-        extra = [Fraction(20), Fraction(1, 3), Fraction(-20), Fraction(0), Fraction(1, 3)]
-        refined = oracle_topology(t, extra_samples=extra)
-        assert refined.triple() == base.triple()
-        assert len(refined.slices) == 8 and refined.slices[-1].point == INFINITY
-        # no two cuts are adjacent, so each pair holds a rational sample
-        finite = [s.point for s in refined.slices[:-1]]
-        for a, b in zip(finite, finite[1:]):
-            if isinstance(b, FinitePoint):
-                assert compare_with_rational(a, b.value) < 0
-            else:
-                assert compare_with_rational(b, a.value) > 0
+        seconds = _second_samples(t.topology.arcs)
+        moved = oracle_topology(_handing_cuts(t, t.topology.arcs.points, seconds))
+        assert moved.triple() == base.triple()
+        assert [s.kind for s in moved.slices] == ["sample", "cut", "sample", "cut"]
+        assert moved.slices[0].point == FinitePoint(seconds[-1])
+        assert moved.slices[-1].point == INFINITY
 
 
 class TestVerdicts:
@@ -154,6 +165,13 @@ class TestVerdicts:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == "cell count disagrees with nodal patterns\n"
+
+    def test_h1_verdict(self, w1, monkeypatch):
+        # a wedge read as one loop adds 1 to chi at each of w1's six joins,
+        # and chi = 6 makes h1 = 2 h0 - chi negative
+        monkeypatch.setitem(oracle._LOOPS, "wedge", 1)
+        with pytest.raises(OracleDisagreement, match=r"^h1 = -4 is not the first Betti number of a closed surface$"):
+            oracle_topology(w1)
 
 
 def _moving_cuts(t, move):
@@ -211,6 +229,14 @@ class TestRefusals:
         cuts = t.topology.arcs.points
         _handing_cuts(t, cuts, [x.value for x in t.topology.arcs.samples[:-1]])
         with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+            compare(t)
+
+    def test_cuts_handed_over_as_a_circle_bundle_are_refused(self):
+        # no cuts: the oracle slices at 0 and infinity, where the real
+        # circle counts differ across the surface's discriminant zeros
+        t = load_triple(str(GOLDEN / "random-k1-two-components.triple.json"))
+        t.__dict__["topology"] = SimpleNamespace(h0=1, h1=2, chi_top=0, arcs=None)
+        with pytest.raises(OracleDisagreement, match=r"^circle count changed over an arc without a discriminant zero$"):
             compare(t)
 
     def test_cusp_at_a_rational_cut_is_refused(self):
@@ -396,6 +422,31 @@ class TestWorkDoneOnce:
             twist(t).topology
             assert not steps, t
         assert real_generic >= 30
+
+    def test_p_q_and_delta_are_decomposed_at_most_once(self, monkeypatch):
+        # validate reads minimality from pq_orders, the fibers read it again
+        # with Delta's decomposition, and the twist takes both over
+        decomposed = []
+        yun_decomposition = ip.yun_decomposition
+
+        def counting(f):
+            decomposed.append(tuple(ip.monic_sign(f)))
+            return yun_decomposition(f)
+
+        monkeypatch.setattr(ip, "yun_decomposition", counting)
+        docs = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.triple.json"))]
+        docs += [doc for _, doc, minimal in digest.validate_documents() if minimal]
+        p_and_q = 0
+        for doc in docs:
+            decomposed.clear()
+            t = triple_from_document(doc)
+            t.fibers
+            twist(t).fibers
+            forms = [tuple(ip.monic_sign(f.num)) for f in (t.p, t.q, t.delta) if not f.is_zero]
+            assert sorted(decomposed) == sorted(set(decomposed)), doc
+            assert set(decomposed) <= set(forms), doc
+            p_and_q += not (t.p.is_zero or t.q.is_zero) and set(forms[:2]) <= set(decomposed)
+        assert p_and_q >= 6
 
     @pytest.mark.parametrize("name", ["w1", "fractional-coefficients", "random-k3"])
     def test_compare_builds_each_forms_sturm_chain_once(self, monkeypatch, name):

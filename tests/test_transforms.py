@@ -25,12 +25,14 @@ from ellsurf import (
     verify_twist,
 )
 from ellsurf import _intpoly as ip
+from ellsurf.documents import triple_from_document
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement, compare, oracle_topology
 from ellsurf.topology import I1_MINUS, I1_PLUS, NotRealGeneric, arc_decomposition
-from ellsurf.transforms import _family_g_h
+from ellsurf.transforms import _family_g_h, _floor_log2
 from ellsurf.weierstrass import WeierstrassError, WeierstrassTriple
 
+import digest
 from conftest import U, V, iterate_i0star
 
 
@@ -56,6 +58,19 @@ class TestTwist:
                 tw = twist(t)
                 assert tw.__dict__["fibers"] is reports
                 assert list(tw.fibers) == classify_fibers(WeierstrassTriple(t.k, t.p, -t.q))
+
+    def test_hands_the_common_root_orders_on(self):
+        # validate builds pq_orders; the twist's minimality and strata read the same record
+        shared = 0
+        for name, doc, minimal in digest.validate_documents():
+            if not minimal:
+                continue
+            t = triple_from_document(doc)
+            assert "pq_orders" in t.__dict__, name
+            if t.pq_orders:
+                assert twist(t).pq_orders is t.pq_orders, name
+                shared += 1
+        assert shared >= 6
 
     def test_builds_the_topology_anew(self, w1):
         before = w1.topology
@@ -257,6 +272,24 @@ class TestIterate:
 
 
 class TestSearch:
+    def test_floor_log2_against_brute_force(self):
+        def reference(x):
+            e = 0
+            while Fraction(2) ** e > x:
+                e -= 1
+            while Fraction(2) ** (e + 1) <= x:
+                e += 1
+            return e
+
+        rng = random.Random(37)
+        xs = [Fraction(2) ** e + d for e in range(-40, 41) for d in (0, Fraction(1, 2 ** 50), -Fraction(1, 2 ** 50))]
+        xs += [
+            Fraction(rng.randint(1, 2 ** rng.randint(1, 80)), rng.randint(1, 2 ** rng.randint(1, 80)))
+            for _ in range(2000)
+        ]
+        for x in xs:
+            assert _floor_log2(x) == reference(x), x
+
     def test_bound_rejected_immediately(self):
         res = search_extremal(1, 6, SearchBudget())
         assert not res.found and "bound" in res.reason
