@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from fractions import Fraction
 
 import click
 
@@ -188,7 +189,15 @@ def _print_checks(ver) -> None:
 
 
 def _emit_triple(t, out) -> None:
-    """Write t's document to the file out and say so, or print it; exit 0."""
+    """Write t's document to the file out and say so, or print it; exit 0.
+
+    A coefficient that parsing could not read back is refused with exit 2.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    coeffs = [Fraction(c, f.den) for f in (t.p, t.q) for c in f.num]
+    if limit and any(max(abs(x.numerator), x.denominator) >= 10**limit for x in coeffs):
+        click.echo(f"refused: a coefficient has more than {limit} digits, too many to read back", err=True)
+        sys.exit(EXIT_INVALID)
     text = dump_json(triple_to_document(t))
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -19,7 +19,9 @@ form, which is checked once per surface to divide the discriminant
 4p^3 + 27q^2, so each of them is a zero of it; with q != 0 there (checked per cut) that forces p < 0.  The
 sign of x0 = -3q / 2p then decides, which is the sign of q: the
 pipeline's own rule and kernel (topology._nodal_type_unchecked), so
-there the oracle is not independent.
+there the oracle is not independent.  When the pipeline has already
+signed q at that point object, the sign is the point's recorded answer
+(AlgebraicPoint.signs); at any other point it is computed there.
 
 The pieces assemble into a cell complex: every fiber circle is a vertex
 plus a loop edge, an isolated point a bare vertex, a wedge a vertex with
@@ -142,7 +144,8 @@ def _sample_slice(t: WeierstrassTriple, pt: CirclePoint, counts: Dict[tuple, int
 def _cut_slice(t: WeierstrassTriple, pt: CirclePoint) -> FiberSlice:
     """Nodal fiber: decide collapse/join from the double-root geometry."""
     if isinstance(pt, AlgebraicPoint):
-        # pt is a zero of Delta (oracle_topology checks its defining form)
+        # pt is a zero of Delta (oracle_topology checks its defining form); q's sign
+        # is pt's record if the pipeline asked it there, else computed: its kernel either way
         s_q = sign_at(t.q, pt)
         if s_q == 0:
             raise OracleDisagreement(f"q vanishes at the nodal cut {pt}")

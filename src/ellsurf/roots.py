@@ -5,6 +5,8 @@ squarefree defining form plus an open isolating interval with rational
 endpoints), or the point at infinity (1:0).  Everything here is exact:
 signs of forms at such points are decided by gcd computations,
 Descartes' rule of signs and interval bisection, never by numerics.
+An algebraic point keeps each sign it has been asked (`signs`), so a
+second query of the same form at the same point object is a lookup.
 The points that are ordered are the real roots of one squarefree form
 (rational_split); a finite point is compared only with a rational.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import _intpoly as ip
 from .binform import BinForm, form_text
@@ -41,6 +43,8 @@ class AlgebraicPoint:
     which every refinement keeps; it is evaluated when not given, and
     two points are equal when (defining, lo, hi) are.  The refinements
     form one chain per point (`refined`), which every query walks.
+    `signs`, built on first use, records sign_at's answers here by the
+    form's numerator; not a field, equality and hashing ignore it.
     """
 
     defining: Tuple[int, ...]
@@ -59,6 +63,10 @@ class AlgebraicPoint:
         """The point with its interval halved (exact bisection step), built on first use and kept."""
         lo, hi = ip.refine_interval(self.defining, self.lo, self.hi, self.lo_sign)
         return AlgebraicPoint(self.defining, lo, hi, self.lo_sign)
+
+    @functools.cached_property
+    def signs(self) -> Dict[Tuple[int, ...], int]:
+        return {}
 
     def excluding(self, x: Fraction) -> "AlgebraicPoint":
         """Refine until the rational x lies outside [lo, hi].
@@ -199,9 +207,14 @@ def sign_at(g: BinForm, c: CirclePoint) -> int:
         top = g.num[-1] if len(g.num) > g.degree else 0
         return (top > 0) - (top < 0)
     assert isinstance(c, AlgebraicPoint)
-    # with no root of g in (lo, hi) the sign is constant there; otherwise
-    # either g vanishes at c, or refining c leaves its roots out
-    ga = g.num
+    if g.num not in c.signs:
+        c.signs[g.num] = _algebraic_sign(g.num, c)
+    return c.signs[g.num]
+
+
+def _algebraic_sign(ga: Tuple[int, ...], c: AlgebraicPoint) -> int:
+    # with no root of ga in (lo, hi) the sign is constant there; otherwise
+    # either ga vanishes at c, or refining c leaves its roots out
     g_lo, g_hi = ip.eval_sign(ga, c.lo), ip.eval_sign(ga, c.hi)
     if _may_vanish_in(ga, c.lo, c.hi, g_lo, g_hi):
         if _divisor_vanishes_in(ip.gcd(ga, c.defining), c.lo, c.hi):

@@ -20,7 +20,7 @@ y^2 = (x - a)^2 (x + 2a), the node has real tangents iff a > 0 iff
 q > 0 at the point.  Likewise a smooth fiber has two circles iff the
 cubic has three real roots iff the discriminant is negative there.
 The oracle checks both, but at an irrational cut it reads the node type
-by the same sign of q.
+by the same sign of q, the answer that the cut recorded here.
 """
 
 from __future__ import annotations

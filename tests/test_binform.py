@@ -20,6 +20,9 @@ class TestArithmetic:
         assert fraction_coeffs(U + V) == (1, 1)
         assert ((U + V) + (U - V)) == 2 * U
 
+    def test_constant_forms_print_their_coefficient(self):
+        assert [str(BinForm.make(0, [c])) for c in (3, Fraction(-7, 2), 0)] == ["3", "-7/2", "0"]
+
     def test_add_degree_mismatch(self):
         with pytest.raises(FormDegreeError):
             U + BinForm.from_affine(2, [])

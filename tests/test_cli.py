@@ -323,6 +323,32 @@ class TestTransformCommand:
         result = runner.invoke(main, ["transform", w1_file, "--i0star", "1", "1"])
         assert result.exit_code == 2
 
+    def test_result_with_coefficients_longer_than_parsing_reads_is_refused(self, tmp_path):
+        # the document's 4,290-digit denominator of p validates, but its I0*
+        # transform has longer ones, which no document can be read back with
+        # (--verify refuses the same way after its checks, in about 10 s)
+        path = str(HOSTILE / "long-denominator-4290.triple.json")
+        out_file = tmp_path / "out.json"
+        script = "import sys\nfrom ellsurf.cli import main\nsys.argv[0] = 'ellsurf'\nmain()\n"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["transform", path, "--i0star", "123456789012345678901234567890", "5"]
+        out = subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(out_file)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == "refused: a coefficient has more than 4300 digits, too many to read back\n"
+        assert not out_file.exists() and out.stdout == ""
+
+    def test_result_with_long_coefficients_reads_back(self, runner, tmp_path):
+        # the 1,450-digit denominator stays under the limit through the I0* step
+        out_file = str(tmp_path / "out.json")
+        path = str(HOSTILE / "long-denominator.triple.json")
+        args = ["transform", path, "--i0star", "123456789012345678901234567890", "5", "--out", out_file]
+        assert runner.invoke(main, args).exit_code == 0
+        assert runner.invoke(main, ["validate", out_file]).output == "valid: k=2, deg p = 8, deg q = 12\n"
+
     def test_requires_exactly_one_mode(self, runner, w1_file):
         result = runner.invoke(main, ["transform", w1_file])
         assert result.exit_code == 2

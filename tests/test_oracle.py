@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +34,14 @@ from ellsurf import oracle
 from ellsurf.documents import load_triple, triple_from_document
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement
-from ellsurf.roots import FinitePoint, InfinityPoint, compare_with_rational, sample_between
+from ellsurf.roots import (
+    AlgebraicPoint,
+    FinitePoint,
+    InfinityPoint,
+    compare_with_rational,
+    sample_between,
+    sign_at,
+)
 
 import digest
 from conftest import U, V, fraction_coeffs, monomial, off_delta
@@ -422,6 +430,86 @@ class TestWorkDoneOnce:
             twist(t).topology
             assert not steps, t
         assert real_generic >= 30
+
+    def test_compare_after_the_topology_signs_nothing_again(self, monkeypatch):
+        # the oracle's sign of q at each irrational cut is the answer the
+        # pipeline recorded at that same point object
+        calls = Counter()
+        for name in ("variations_in", "gcd", "eval_sign"):
+            def counting(*args, _name=name, _kernel=getattr(ip, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(ip, name, counting)
+        irrational = 0
+        for t in _golden_and_seeded():
+            try:
+                arcs = t.topology.arcs
+            except NotRealGeneric:
+                continue
+            irrational += arcs is not None and any(isinstance(c, AlgebraicPoint) for c in arcs.points)
+            calls.clear()
+            compare(t)
+            assert not calls, t
+        assert irrational >= 20
+
+    def test_the_twist_signs_minus_q_afresh(self, monkeypatch):
+        # -q is not answered from q's record: the twist's nodal types are
+        # decided again, with the same Descartes queries as q's
+        calls = []
+        variations_in = ip.variations_in
+
+        def counting(*args):
+            calls.append(args)
+            return variations_in(*args)
+
+        monkeypatch.setattr(ip, "variations_in", counting)
+        signed = 0
+        for t in _golden_and_seeded():
+            t.fibers
+            calls.clear()
+            try:
+                t.topology
+            except NotRealGeneric:
+                continue
+            on_q = len(calls)
+            calls.clear()
+            twist(t).topology
+            assert len(calls) == on_q, t
+            signed += on_q
+        assert signed >= 100
+
+    def test_a_record_never_changes_an_answer(self):
+        # q, -q, Delta and the cut's own defining form, asked twice in both
+        # orders at the pipeline's cut and at a fresh equal point, give
+        # what a point with an empty record gives
+        cuts = 0
+        for t in _golden_and_seeded():
+            try:
+                arcs = t.topology.arcs
+            except NotRealGeneric:
+                continue
+            for c in arcs.points if arcs is not None else ():
+                if not isinstance(c, AlgebraicPoint):
+                    continue
+                cuts += 1
+                forms = [t.q, -t.q, t.delta, BinForm.make(len(c.defining) - 1, c.defining)]
+                expected = {g: sign_at(g, AlgebraicPoint(c.defining, c.lo, c.hi)) for g in forms}
+                assert expected[forms[-1]] == 0 and expected[t.q] == -expected[-t.q] != 0
+                for order in (forms, forms[::-1]):
+                    for pt in (c, AlgebraicPoint(c.defining, c.lo, c.hi)):
+                        assert [sign_at(g, pt) for g in order for _ in "ab"] == [
+                            expected[g] for g in order for _ in "ab"
+                        ], (t, c)
+        assert cuts >= 40
+
+    def test_a_filled_record_leaves_equality_and_hashing(self):
+        t = load_triple(str(GOLDEN / "random-k2.triple.json"))
+        c = next(c for c in t.topology.arcs.points if isinstance(c, AlgebraicPoint))
+        bare = AlgebraicPoint(c.defining, c.lo, c.hi)
+        assert c.signs and "signs" not in vars(bare)
+        assert bare == c and hash(bare) == hash(c) and repr(bare) == repr(c)
+        assert Counter([c]) == Counter([bare])
 
     def test_p_q_and_delta_are_decomposed_at_most_once(self, monkeypatch):
         # validate reads minimality from pq_orders, the fibers read it again

@@ -294,6 +294,11 @@ class TestSearch:
         res = search_extremal(1, 6, SearchBudget())
         assert not res.found and "bound" in res.reason
 
+    def test_no_component_rejected_immediately(self):
+        # the CLI refuses --components 0 before it calls search_extremal
+        res = search_extremal(1, 0, SearchBudget())
+        assert (res.found, res.candidates_tried, res.reason) == (False, 0, "h0 must be at least 1")
+
     @pytest.mark.parametrize("target", [1, 2, 3, 4, 5])
     def test_k1_targets(self, target):
         res = search_extremal(1, target, SearchBudget(max_candidates=128, rng_seed=0))

@@ -377,6 +377,7 @@ class TestClassify:
         reports = classify_fibers(t)
         by_symbol = sorted((r.kodaira.symbol, str(r.location)) for r in reports)
         assert by_symbol == [("I1", "-2"), ("I1", "2"), ("II*", "inf")]
+        assert sorted(map(str, (r.kodaira for r in reports))) == ["I1", "I1", "II*"]
 
     def test_conjugate_pairs_only(self):
         t = validate(1, BinForm.from_affine(4, []), monomial(6, 6) + monomial(6, 0))
