@@ -33,10 +33,10 @@ from .weierstrass import (
 )
 from .topology import (
     ArcDecomposition,
-    BoundChecks,
     NotRealGeneric,
     RealFiberType,
     RealTopologyReport,
+    Verification,
     arc_decomposition,
     betti,
     check_bounds,
@@ -47,7 +47,6 @@ from .transforms import (
     InvalidI0StarParams,
     SearchBudget,
     SearchResult,
-    Verification,
     i0star_transform,
     make_params,
     search_extremal,
@@ -82,10 +81,10 @@ __all__ = [
     "normalize",
     "validate",
     "ArcDecomposition",
-    "BoundChecks",
     "NotRealGeneric",
     "RealFiberType",
     "RealTopologyReport",
+    "Verification",
     "arc_decomposition",
     "betti",
     "check_bounds",
@@ -94,7 +93,6 @@ __all__ = [
     "InvalidI0StarParams",
     "SearchBudget",
     "SearchResult",
-    "Verification",
     "i0star_transform",
     "make_params",
     "search_extremal",

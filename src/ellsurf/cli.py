@@ -188,16 +188,17 @@ def _print_checks(ver) -> None:
         sys.exit(EXIT_VIOLATION)
 
 
-def _emit_triple(t, out) -> None:
-    """Write t's document to the file out and say so, or print it; exit 0.
-
-    A coefficient that parsing could not read back is refused with exit 2.
-    """
+def _refuse_unreadable(t) -> None:
+    """Exit 2 when parsing could not read back a coefficient of t."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     coeffs = [Fraction(c, f.den) for f in (t.p, t.q) for c in f.num]
     if limit and any(max(abs(x.numerator), x.denominator) >= 10**limit for x in coeffs):
         click.echo(f"refused: a coefficient has more than {limit} digits, too many to read back", err=True)
         sys.exit(EXIT_INVALID)
+
+
+def _emit_triple(t, out) -> None:
+    """Write t's document to the file out and say so, or print it; exit 0."""
     text = dump_json(triple_to_document(t))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -222,8 +223,6 @@ def transform(file, do_twist, i0star, do_verify, out):
         sys.exit(EXIT_INVALID)
     if do_twist:
         result = twist(t)
-        if do_verify:
-            _print_checks(verify_twist(t, result))
     else:
         try:
             a = parse_rational(i0star[0])
@@ -233,8 +232,9 @@ def transform(file, do_twist, i0star, do_verify, out):
             click.echo(f"invalid parameters: {exc}", err=True)
             sys.exit(EXIT_INVALID)
         result = i0star_transform(t, params)
-        if do_verify:
-            _print_checks(verify_i0star(t, params, result))
+    _refuse_unreadable(result)
+    if do_verify:
+        _print_checks(verify_twist(t, result) if do_twist else verify_i0star(t, params, result))
     _emit_triple(result, out)
 
 
@@ -294,6 +294,7 @@ def search(k, components_, budget, seed, out):
         f"found after {result.candidates_tried} candidate(s): "
         f"h0={rep.h0} h1={rep.h1} chi={rep.chi_top}"
     )
+    _refuse_unreadable(result.triple)
     _emit_triple(result.triple, out)
 
 

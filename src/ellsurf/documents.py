@@ -19,9 +19,9 @@ from .binform import BinForm, coefficient_strings
 from .roots import AlgebraicPoint, CirclePoint, FinitePoint, InfinityPoint
 from .topology import (
     ArcDecomposition,
-    BoundChecks,
     NotRealGeneric,
     RealTopologyReport,
+    Verification,
 )
 from .weierstrass import (
     ConjugatePairTag,
@@ -202,14 +202,8 @@ def topology_to_document(rep: RealTopologyReport) -> dict:
     }
 
 
-def bounds_to_document(bc: BoundChecks) -> dict:
-    return {
-        "h0_le_5k": bc.component_bound_ok,
-        "h1_le_10k": bc.betti_bound_ok,
-        "h1_even": bc.h1_even_ok,
-        "orientable_iff_k_even": bc.orientability_ok,
-        "all_ok": bc.all_ok,
-    }
+def bounds_to_document(ver: Verification) -> dict:
+    return {**{c.name: c.ok for c in ver.checks}, "all_ok": ver.ok}
 
 
 def not_real_generic_to_document(exc: NotRealGeneric) -> dict:

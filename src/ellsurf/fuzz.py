@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 from .binform import BinForm
 from .documents import triple_to_document
 from .oracle import OracleDisagreement, compare
-from .topology import NotRealGeneric, check_bounds
+from .topology import NotRealGeneric, check_bounds, twist_duality
 from .transforms import (
     InvalidI0StarParams,
     i0star_transform,
@@ -117,34 +117,19 @@ def run_fuzz(
         key = (report.h0, report.h1)
         summary.histogram[key] = summary.histogram.get(key, 0) + 1
 
-        bounds = check_bounds(report, k)
-        if not bounds.all_ok:
-            _record_violation(
-                summary,
-                "bounds",
-                f"h0={report.h0} h1={report.h1} k={k}: {bounds}",
-                t,
-            )
+        failed = ", ".join(c.name for c in check_bounds(report, k).failures())
+        if failed:
+            _record_violation(summary, "bounds", f"h0={report.h0} h1={report.h1} k={k}: {failed}", t)
 
         try:
             report2 = twist(t).topology
         except (NotRealGeneric, AssertionError) as exc:
             _record_violation(summary, "twist-betti", str(exc), t)
             continue
-        duality_ok = (
-            report2.h1 == 2 * report.h0
-            and 2 * report2.h0 == report.h1
-            and report2.chi_top == -report.chi_top
-            and report2.h_star == report.h_star
-        )
-        if not duality_ok:
-            _record_violation(
-                summary,
-                "twist-duality",
-                f"(h0,h1,chi)={report.h0, report.h1, report.chi_top} vs "
-                f"twist {report2.h0, report2.h1, report2.chi_top}",
-                t,
-            )
+        before = (report.h0, report.h1, report.chi_top)
+        after = (report2.h0, report2.h1, report2.chi_top)
+        if not (twist_duality(before, after) and report2.h_star == report.h_star):
+            _record_violation(summary, "twist-duality", f"(h0,h1,chi)={before} vs twist {after}", t)
 
         if oracle_every and index % oracle_every == 0:
             try:

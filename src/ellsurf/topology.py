@@ -180,25 +180,22 @@ def _surface_label(orientable: bool, h1: int) -> str:
 
 
 @dataclass(frozen=True)
-class BoundChecks:
-    k: int
-    h0: int
-    h1: int
-    component_bound_ok: bool  # h0 <= 5k
-    betti_bound_ok: bool  # h1 <= 10k
-    # the last two hold by construction: betti sets h1 = 2 + 2 arc_minus
-    # (2 h0 for a circle bundle) and orientable = (k even)
-    h1_even_ok: bool
-    orientability_ok: bool  # orientable iff k even
+class CheckItem:
+    name: str
+    ok: Optional[bool]  # None when the check does not apply
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Verification:
+    checks: Tuple[CheckItem, ...]
 
     @property
-    def all_ok(self) -> bool:
-        return (
-            self.component_bound_ok
-            and self.betti_bound_ok
-            and self.h1_even_ok
-            and self.orientability_ok
-        )
+    def ok(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> List[CheckItem]:
+        return [c for c in self.checks if c.ok is False]
 
 
 @dataclass(frozen=True)
@@ -267,14 +264,22 @@ def betti(t: WeierstrassTriple) -> RealTopologyReport:
     )
 
 
-def check_bounds(report: RealTopologyReport, k: int) -> BoundChecks:
-    """Verdicts for the component and first-Betti bounds and parities."""
-    return BoundChecks(
-        k=k,
-        h0=report.h0,
-        h1=report.h1,
-        component_bound_ok=report.h0 <= 5 * k,
-        betti_bound_ok=report.h1 <= 10 * k,
-        h1_even_ok=report.h1 % 2 == 0,
-        orientability_ok=report.orientable == (k % 2 == 0),
-    )
+def check_bounds(report: RealTopologyReport, k: int) -> Verification:
+    """Verdicts for the component and first-Betti bounds and parities.
+
+    The last two hold by construction: betti sets h1 = 2 + 2 arc_minus
+    (2 h0 for a circle bundle) and orientable = (k even).
+    """
+    return Verification((
+        CheckItem("h0_le_5k", report.h0 <= 5 * k),
+        CheckItem("h1_le_10k", report.h1 <= 10 * k),
+        CheckItem("h1_even", report.h1 % 2 == 0),
+        CheckItem("orientable_iff_k_even", report.orientable == (k % 2 == 0)),
+    ))
+
+
+def twist_duality(before: Tuple[int, int, int], after: Tuple[int, int, int]) -> bool:
+    """(h0, h1, chi) of a surface and of its twist: h1' = 2 h0, 2 h0' = h1, chi' = -chi."""
+    h0, h1, chi = before
+    h0_t, h1_t, chi_t = after
+    return h1_t == 2 * h0 and 2 * h0_t == h1 and chi_t == -chi

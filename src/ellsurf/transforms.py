@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,10 +36,13 @@ from .roots import (
     sign_at,
 )
 from .topology import (
+    CheckItem,
     NotRealGeneric,
     RealTopologyReport,
+    Verification,
     _nodal_type_unchecked,
     check_bounds,
+    twist_duality,
 )
 from .weierstrass import (
     SurfaceInvariants,
@@ -110,33 +113,13 @@ def i0star_transform(t: WeierstrassTriple, params: I0StarParams) -> WeierstrassT
 # verification of the twist and of the I0* step
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    ok: Optional[bool]  # None when the check does not apply
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Verification:
-    checks: Tuple[CheckItem, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> List[CheckItem]:
-        return [c for c in self.checks if c.ok is False]
-
-
 def verify_twist(t: WeierstrassTriple, t_twisted: WeierstrassTriple) -> Verification:
     """Check the twist's contract on t_twisted, computed apart from twist.
 
     - 4p'^3 + 27q'^2, built from the twisted p and q, equals Delta(t);
-    - twist duality on the oracle's topology of both sides:
-      h1' = 2 h0, 2 h0' = h1 and chi' = -chi.  It does not apply when
-      some real singular fiber is not nodal, and fails when the oracle
-      refuses a slice.
+    - twist_duality on the oracle's (h0, h1, chi) of both sides.  It
+      does not apply when some real singular fiber is not nodal, and
+      fails when the oracle refuses a slice.
     """
     rebuilt = 4 * t_twisted.p ** 3 + 27 * t_twisted.q ** 2
     checks = [
@@ -156,9 +139,7 @@ def verify_twist(t: WeierstrassTriple, t_twisted: WeierstrassTriple) -> Verifica
         checks.append(
             CheckItem(
                 "twist_duality",
-                after.h1 == 2 * before.h0
-                and 2 * after.h0 == before.h1
-                and after.chi == -before.chi,
+                twist_duality(before.triple(), after.triple()),
                 f"(h0, h1, chi): {before.triple()} -> {after.triple()}",
             )
         )
@@ -444,11 +425,8 @@ def _verify_candidate(
         return None
     if report.h0 != h0_target:
         return None
-    bounds = check_bounds(report, k_target)
-    if not bounds.all_ok:
-        failed = ", ".join(
-            f.name for f in fields(bounds) if f.name.endswith("_ok") and not getattr(bounds, f.name)
-        )
+    failed = ", ".join(c.name for c in check_bounds(report, k_target).failures())
+    if failed:
         raise AssertionError(f"bounds failed at k={k_target}, h0={report.h0}, h1={report.h1}: {failed}")
     compare(cand)
     return normalize(cand), report

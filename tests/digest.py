@@ -15,7 +15,11 @@ The outputs are
   --verify` and `transform --i0star 4 5 --verify` on the golden
   triples;
 - the stdout of `ellsurf fuzz --k K --trials 50 --seed 3
-  --oracle-every 1` for K = 1, 2, 3.
+  --oracle-every 1` for K = 1, 2, 3;
+- for the hostile documents of tests/hostile: the stdout of `validate`
+  on each, of `report --json` on long-denominator, and stdout with
+  stderr of the `transform --i0star 123456789012345678901234567890 5`
+  refusal on long-denominator-4290, with and without `--verify`.
 
 tests/test_digest.py recomputes them and names the lines that differ
 from tests/golden/digest.txt; so does
@@ -62,6 +66,15 @@ GOLDEN_COMMANDS = (
     ("i0star", ["transform", "--i0star", "4", "5", "--verify"]),
 )
 FUZZ_KS = (1, 2, 3)
+HOSTILE = Path(__file__).parent / "hostile"
+LONG_I0STAR = ["--i0star", "123456789012345678901234567890", "5"]
+HOSTILE_COMMANDS = (
+    ("validate", "long-denominator", ["validate"]),
+    ("validate", "long-denominator-4290", ["validate"]),
+    ("report-json", "long-denominator", ["report", "--json"]),
+    ("i0star-long", "long-denominator-4290", ["transform", *LONG_I0STAR]),
+    ("i0star-long-verify", "long-denominator-4290", ["transform", *LONG_I0STAR, "--verify"]),
+)
 
 # the kinds of non-minimality witness the validate corpus asks for
 WITNESS_KINDS = (
@@ -235,6 +248,9 @@ def compute() -> Dict[str, Tuple[str, int]]:
         args = ["fuzz", "--k", str(k), "--trials", "50", "--seed", "3", "--oracle-every", "1"]
         result = runner.invoke(main, args)
         out[f"fuzz k{k}"] = (_sha(result.stdout), result.exit_code)
+    for label, name, args in HOSTILE_COMMANDS:
+        result = runner.invoke(main, [*args[:1], str(HOSTILE / f"{name}.triple.json"), *args[1:]])
+        out[f"{label} hostile {name}"] = (_sha(result.output), result.exit_code)
     return out
 
 

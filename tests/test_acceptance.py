@@ -96,9 +96,9 @@ def test_criterion_4_bounds_over_fuzz_corpus():
     for seed, k, count in ((20240504, 1, 60), (20240505, 2, 25), (20240506, 3, 15)):
         for t, rep in _real_generic_samples(seed, k, count):
             bc = check_bounds(rep, k)
-            assert bc.all_ok, f"bound violation at k={k}: {bc}"
+            assert bc.ok, f"bound violation at k={k}: {bc}"
             bc2 = check_bounds(betti(twist(t)), k)
-            assert bc2.all_ok
+            assert bc2.ok
             checked += 2
     print(f"PASS criterion 4: zero bound violations over {checked} reports")
 

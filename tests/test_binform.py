@@ -27,6 +27,29 @@ class TestArithmetic:
         with pytest.raises(FormDegreeError):
             U + BinForm.from_affine(2, [])
 
+    def test_make_needs_one_coefficient_more_than_the_degree(self):
+        with pytest.raises(ValueError, match="degree 2 form needs 3 coefficients, got 2"):
+            BinForm.make(2, [1, 1])
+
+    def test_affine_degree_above_the_container_raises(self):
+        with pytest.raises(FormDegreeError):
+            BinForm.from_affine(1, [Fraction(1), Fraction(0), Fraction(1)])
+
+    @pytest.mark.parametrize(
+        "read", [lambda f: f.content, lambda f: f.v_order_at_infinity()], ids=["content", "order-at-infinity"]
+    )
+    def test_the_zero_form_has_no_content_or_order(self, read):
+        with pytest.raises(ValueError, match="zero form"):
+            read(BinForm.from_affine(3, []))
+
+    def test_arithmetic_with_other_types_is_not_implemented(self):
+        assert U.__add__(1) is NotImplemented
+        assert U.__mul__(0.5) is NotImplemented
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            U ** -1
+
     def test_mul(self):
         assert U * V == BinForm.make(2, [0, 1, 0])
         lhs = (U * U - V * V) * (U * U + V * V)

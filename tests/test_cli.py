@@ -15,11 +15,22 @@ from ellsurf import BinForm, NotRealGeneric, WeierstrassError, validate
 from ellsurf.cli import main
 from ellsurf.documents import dump_json, triple_to_document
 
-from conftest import U, V, monomial, off_delta
+from conftest import U, V, monomial, off_delta, time_limit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTREMAL = str(GOLDEN / "extremal-k1-h5.triple.json")
 HOSTILE = Path(__file__).resolve().parent / "hostile"
+LONG_I0STAR = ["--i0star", "123456789012345678901234567890", "5"]
+REFUSED_LONG = "refused: a coefficient has more than 4300 digits, too many to read back\n"
+
+
+def _run_ellsurf(*args):
+    """The console entry point in a fresh interpreter, with this checkout's src/."""
+    script = "import sys\nfrom ellsurf.cli import main\nsys.argv[0] = 'ellsurf'\nmain()\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def _flip_cuts(monkeypatch, flip):
@@ -164,6 +175,23 @@ class TestReportCommand:
         assert "real_topology" in doc and "refused" in doc["real_topology"]
         assert len(doc["fibers"]) == 2
 
+    def test_failed_bounds_are_reported(self, runner, monkeypatch):
+        # six circles over a circle bundle at k = 1 break h0 <= 5k and h1 <= 10k
+        import ellsurf.topology
+
+        monkeypatch.setattr(ellsurf.topology, "smooth_fiber_components", lambda t, c: 6)
+        path = str(GOLDEN / "bundle-negative-delta.triple.json")
+        doc = json.loads(runner.invoke(main, ["report", path, "--json"]).output)
+        assert doc["bounds"] == {
+            "h0_le_5k": False,
+            "h1_le_10k": False,
+            "h1_even": True,
+            "orientable_iff_k_even": True,
+            "all_ok": False,
+        }
+        text = runner.invoke(main, ["report", path]).output
+        assert text.endswith("bounds: h0<=5k VIOLATED; h1<=10k VIOLATED; h1 even ok; orientability ok\n")
+
     def test_refused_topology_text(self, runner):
         path = str(GOLDEN / "istar-refusal.triple.json")
         result = runner.invoke(main, ["report", path])
@@ -226,13 +254,7 @@ class TestReportCommand:
         # a 1,450-digit denominator of p gives defining forms of the cuts
         # with over 4,300 digits, which str(int) refuses by default
         path = str(HOSTILE / "long-denominator.triple.json")
-        script = "import sys\nfrom ellsurf.cli import main\nsys.argv[0] = 'ellsurf'\nmain()\n"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", script, "report", path, "--json"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        out = _run_ellsurf("report", path, "--json")
         assert out.returncode == 0, out.stderr
         doc = json.loads(out.stdout)
         assert max(len(c) for pt in doc["arcs"]["singular_points"] for c in pt["point"].get("defining", [])) > 4300
@@ -326,26 +348,28 @@ class TestTransformCommand:
     def test_result_with_coefficients_longer_than_parsing_reads_is_refused(self, tmp_path):
         # the document's 4,290-digit denominator of p validates, but its I0*
         # transform has longer ones, which no document can be read back with
-        # (--verify refuses the same way after its checks, in about 10 s)
         path = str(HOSTILE / "long-denominator-4290.triple.json")
         out_file = tmp_path / "out.json"
-        script = "import sys\nfrom ellsurf.cli import main\nsys.argv[0] = 'ellsurf'\nmain()\n"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        args = ["transform", path, "--i0star", "123456789012345678901234567890", "5"]
-        out = subprocess.run(
-            [sys.executable, "-c", script, *args, "--out", str(out_file)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        out = _run_ellsurf("transform", path, *LONG_I0STAR, "--out", str(out_file))
         assert out.returncode == 2, out.stderr
-        assert out.stderr == "refused: a coefficient has more than 4300 digits, too many to read back\n"
+        assert out.stderr == REFUSED_LONG
         assert not out_file.exists() and out.stdout == ""
+
+    def test_verify_refuses_a_long_result_before_checking_it(self, tmp_path):
+        # the checks of this I0* step take about 10 s; the refusal needs none of them
+        path = str(HOSTILE / "long-denominator-4290.triple.json")
+        out_file = tmp_path / "out.json"
+        with time_limit(5):
+            out = _run_ellsurf("transform", path, *LONG_I0STAR, "--verify", "--out", str(out_file))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == REFUSED_LONG and "Traceback" not in out.stderr
+        assert out.stdout == "" and not out_file.exists()
 
     def test_result_with_long_coefficients_reads_back(self, runner, tmp_path):
         # the 1,450-digit denominator stays under the limit through the I0* step
         out_file = str(tmp_path / "out.json")
         path = str(HOSTILE / "long-denominator.triple.json")
-        args = ["transform", path, "--i0star", "123456789012345678901234567890", "5", "--out", out_file]
+        args = ["transform", path, *LONG_I0STAR, "--out", out_file]
         assert runner.invoke(main, args).exit_code == 0
         assert runner.invoke(main, ["validate", out_file]).output == "valid: k=2, deg p = 8, deg q = 12\n"
 
@@ -466,8 +490,8 @@ class TestFuzzCommand:
         monkeypatch.setattr(ellsurf.topology, "smooth_fiber_components", lambda t, c: 6)
         result, t = self._fuzz_first_triple(runner, 9, "--oracle-every", "0")
         assert not any(r.is_real for r in t.fibers)
-        self._assert_one_violation(result, t, "bounds", "h0=6 h1=12 k=1: BoundChecks(")
-        assert "component_bound_ok=False, betti_bound_ok=False" in result.output
+        self._assert_one_violation(result, t, "bounds", "h0=6 h1=12 k=1: h0_le_5k, h1_le_10k")
+        assert "VIOLATION[bounds]: h0=6 h1=12 k=1: h0_le_5k, h1_le_10k\n" in result.output
 
     def test_non_generic_twist_is_a_twist_betti_violation(self, runner, monkeypatch):
         # a twist that loses q: Delta = 4p^3 has a type III zero at each real root of p

@@ -24,3 +24,12 @@ def test_digest_covers_validate_golden_commands_and_fuzz():
     for label, _ in digest.GOLDEN_COMMANDS:
         assert sum(n.startswith(f"{label} golden ") for n in names) == len(digest.GOLDEN_TRIPLES) == 21
     assert [n for n in names if n.startswith("fuzz ")] == [f"fuzz k{k}" for k in digest.FUZZ_KS]
+
+
+def test_digest_covers_the_hostile_documents():
+    names = list(digest.read_lines())
+    hostile = [f"{label} hostile {name}" for label, name, _ in digest.HOSTILE_COMMANDS]
+    assert names[-len(hostile):] == hostile
+    assert {name for _, name, _ in digest.HOSTILE_COMMANDS} == {
+        p.name[: -len(".triple.json")] for p in digest.HOSTILE.glob("*.triple.json")
+    }

@@ -91,6 +91,18 @@ class TestTripleDocuments:
         with pytest.raises(DocumentError):
             triple_from_document({"k": 1, "p": ["1"] * 4, "q": ["0"] * 7})
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([1, ["1"] * 5, ["0"] * 7], "must be a JSON object"),
+            ({"k": 1, "p": ["1"] * 5, "q": ["0"] * 6}, "q must be a list of 7 rationals"),
+        ],
+        ids=["not-an-object", "short-q"],
+    )
+    def test_refused_shapes_name_the_fault(self, doc, message):
+        with pytest.raises(DocumentError, match=message):
+            triple_from_document(doc)
+
     def test_boolean_k_rejected(self):
         with pytest.raises(DocumentError):
             triple_from_document({"k": True, "p": ["0"] * 5, "q": ["1"] + ["0"] * 6})

@@ -291,6 +291,22 @@ def test_descartes_count_refuses_the_zero_polynomial():
         ip.variations_in([], Fraction(0), Fraction(1))
 
 
+@pytest.mark.parametrize("divide", [ip._pseudo_rem, ip.try_div_exact], ids=["pseudo-remainder", "exact"])
+def test_division_by_the_zero_polynomial_raises(divide):
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divide([1, 2, 1], [])
+
+
+@pytest.mark.parametrize("split", [ip.squarefree_part, ip.yun_decomposition], ids=["squarefree", "yun"])
+def test_the_zero_polynomial_has_no_squarefree_structure(split):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        split([])
+
+
+def test_a_nonzero_constant_has_no_yun_components():
+    assert ip.yun_decomposition([-5]) == []
+
+
 def test_refinement_refuses_a_rational_root():
     # u^2 - 1 on (0, 2), negative at 0: the first midpoint is the root 1
     with pytest.raises(ValueError):

@@ -293,6 +293,22 @@ class TestSampleBetween:
         with pytest.raises(ValueError):
             sample_between(finite(2), finite(1))
 
+    def test_a_degenerate_isolating_interval_raises(self):
+        with pytest.raises(ValueError, match="non-degenerate"):
+            AlgebraicPoint((-2, 0, 1), Fraction(3, 2), Fraction(3, 2))
+
+    def test_an_empty_interval_has_no_simplest_rational(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            simplest_between(Fraction(1), Fraction(1))
+
+    def test_an_arc_from_infinity_to_infinity_raises(self):
+        with pytest.raises(ValueError, match="degenerate arc"):
+            sample_between(INFINITY, INFINITY)
+
+    def test_infinity_twice_raises(self):
+        with pytest.raises(ValueError, match="duplicate point at infinity"):
+            circle_sort_key_refine([INFINITY, finite(0), INFINITY])
+
 
 class TestCompare:
     def test_mixed_ordering(self):

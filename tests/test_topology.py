@@ -20,7 +20,7 @@ from ellsurf import (
 )
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.roots import FinitePoint
-from ellsurf.topology import I1_MINUS, I1_PLUS, _nodal_type_unchecked
+from ellsurf.topology import I1_MINUS, I1_PLUS, _nodal_type_unchecked, twist_duality
 
 from conftest import U, V
 
@@ -178,25 +178,51 @@ class TestBetti:
 class TestBounds:
     def test_w1_passes(self, w1):
         rep = betti(w1)
-        assert check_bounds(rep, 1).all_ok
+        assert check_bounds(rep, 1).ok
+
+    @staticmethod
+    def _fake(h0, h1, orientable):
+        from ellsurf.topology import RealTopologyReport
+
+        return RealTopologyReport(
+            h0=h0, h1=h1, h2=h0, chi_top=2 * h0 - h1, orientable=orientable,
+            components=("S0",) * h0, arcs=None,
+        )
+
+    @staticmethod
+    def _failed(rep, k):
+        return [c.name for c in check_bounds(rep, k).failures()]
 
     def test_component_bound_violation_flagged(self):
-        from ellsurf.topology import RealTopologyReport
+        assert self._failed(self._fake(6, 0, False), 1) == ["h0_le_5k"]
+        assert not check_bounds(self._fake(6, 0, False), 1).ok
 
-        fake = RealTopologyReport(
-            h0=6, h1=0, h2=6, chi_top=12, orientable=False,
-            components=tuple(["S0"] * 6), arcs=None,
-        )
-        bc = check_bounds(fake, 1)
-        assert not bc.component_bound_ok
-        assert not bc.all_ok
+    def test_betti_bound_violation_flagged(self):
+        assert self._failed(self._fake(1, 12, False), 1) == ["h1_le_10k"]
 
     def test_parity_violation_flagged(self):
-        from ellsurf.topology import RealTopologyReport
+        assert self._failed(self._fake(1, 3, False), 1) == ["h1_even"]
 
-        fake = RealTopologyReport(
-            h0=1, h1=3, h2=1, chi_top=-1, orientable=False,
-            components=("V3",), arcs=None,
-        )
-        bc = check_bounds(fake, 1)
-        assert not bc.h1_even_ok
+    def test_orientable_at_odd_k_flagged(self):
+        assert self._failed(self._fake(1, 2, True), 1) == ["orientable_iff_k_even"]
+
+    def test_bounds_attained_pass(self):
+        assert self._failed(self._fake(5, 10, False), 1) == []
+        assert self._failed(self._fake(10, 20, True), 2) == []
+
+
+class TestTwistDuality:
+    # one real component with h1 = 4 pairs with two components and h1 = 2
+    BEFORE = (1, 4, -2)
+
+    def test_the_dual_pair_holds(self):
+        assert twist_duality(self.BEFORE, (2, 2, 2))
+        assert twist_duality((2, 2, 2), self.BEFORE)
+
+    @pytest.mark.parametrize(
+        "after",
+        [(2, 4, 2), (3, 2, 2), (2, 2, 0)],
+        ids=["h1 is not 2 h0", "2 h0 is not h1", "chi does not change sign"],
+    )
+    def test_each_conjunct_fails_alone(self, after):
+        assert not twist_duality(self.BEFORE, after)

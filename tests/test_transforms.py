@@ -28,7 +28,14 @@ from ellsurf import _intpoly as ip
 from ellsurf.documents import triple_from_document
 from ellsurf.fuzz import random_valid_triple
 from ellsurf.oracle import OracleDisagreement, compare, oracle_topology
-from ellsurf.topology import I1_MINUS, I1_PLUS, NotRealGeneric, arc_decomposition
+from ellsurf.topology import (
+    I1_MINUS,
+    I1_PLUS,
+    CheckItem,
+    NotRealGeneric,
+    Verification,
+    arc_decomposition,
+)
 from ellsurf.transforms import _family_g_h, _floor_log2
 from ellsurf.weierstrass import WeierstrassError, WeierstrassTriple
 
@@ -321,9 +328,11 @@ class TestSearch:
         monkeypatch.setattr(
             ellsurf.transforms,
             "check_bounds",
-            lambda report, k: dataclasses.replace(real(report, k), betti_bound_ok=False),
+            lambda report, k: Verification(tuple(
+                CheckItem(c.name, False) if c.name == "h1_le_10k" else c for c in real(report, k).checks
+            )),
         )
-        with pytest.raises(AssertionError, match="bounds failed .*: betti_bound_ok$"):
+        with pytest.raises(AssertionError, match="bounds failed .*: h1_le_10k$"):
             search_extremal(1, 3, SearchBudget())
 
     def test_oracle_disagreement_raises(self, monkeypatch):

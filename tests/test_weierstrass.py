@@ -358,6 +358,11 @@ class TestKodairaTable:
         with pytest.raises(ValueError):
             kodaira_from_valuations(4, 6, 12)
 
+    def test_a_smooth_fiber_has_no_kodaira_type(self):
+        with pytest.raises(ValueError, match="not a singular fiber"):
+            kodaira_from_valuations(0, 0, 0)
+
+
 
 def _euler_sum(reports):
     return sum(r.kodaira.euler_number * r.multiplicity_weight for r in reports)
